@@ -37,7 +37,7 @@ use easgd::weak_scaling::{
     knl_mpi_effective_link, INTEL_CAFFE_GOOGLENET_2176, INTEL_CAFFE_VGG_2176,
 };
 use easgd::WeakScalingModel;
-use easgd_bench::arg_value;
+use easgd_bench::{arg_value, linear_fit};
 use easgd_cluster::collectives::tree_allreduce_sum;
 use easgd_cluster::{ClusterBackend, ClusterConfig, TimeCategory, VirtualCluster};
 
@@ -157,32 +157,6 @@ fn run_tree_point(nodes: usize) -> f64 {
         comm.now()
     });
     times.iter().fold(0.0f64, |a, &t| a.max(t))
-}
-
-/// Least-squares fit `y = a + b·x`; returns `(a, b, r²)`.
-fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    let b = sxy / sxx;
-    let a = my - b * mx;
-    let ss_res: f64 = xs
-        .iter()
-        .zip(ys)
-        .map(|(x, y)| {
-            let e = y - (a + b * x);
-            e * e
-        })
-        .sum();
-    let ss_tot: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    let r2 = if ss_tot > 0.0 {
-        1.0 - ss_res / ss_tot
-    } else {
-        1.0
-    };
-    (a, b, r2)
 }
 
 struct TreeFit {

@@ -9,8 +9,12 @@
 //!   steady state on the real forward path (the counters are exact
 //!   integers, machine-independent) and the bitwise eval contract (a
 //!   ragged dispatch returns the bits of the full-batch forward).
-//!   Wall-clock QPS from this half goes to **stdout only** — it depends
-//!   on the host and would break JSON reproducibility.
+//!   Wall-clock QPS from this half goes to **stdout only**. The one
+//!   wall-clock number in the JSON is the labelled `measured_service`
+//!   block: `step(B)` of one (prepacked) replica timed for B = 1..=cap
+//!   and fitted to `α + β·B` with its R² — the calibration the sweep's
+//!   pinned model will be checked against. It is host-dependent and
+//!   outside `sim_bit_identical`, and does not yet drive the sweep.
 //! * **Simulated** — the open-loop latency sweep and the batching
 //!   throughput ratio, computed on logical time under the pinned
 //!   [`ServiceModel`] (α = per-dispatch overhead, β = per-sample
@@ -32,14 +36,16 @@
 //! `p99_within_deadline_bound` (for the non-burst arrival processes,
 //! p99 ≤ T + 2·step(cap)), `sim_bit_identical`, and `eval_bitwise_ok`.
 
-use easgd_bench::{arg_value, schema};
+use easgd_bench::{arg_value, linear_fit, schema};
 use easgd_hardware::ComputeModel;
 use easgd_nn::models::lenet;
 use easgd_serve::{
     summarize, Arrival, BatcherConfig, LatencySummary, NullBackend, ReplicaSet, ServeEngine,
     ServiceModel,
 };
+use easgd_tensor::par::{with_pool, PartitionedPool};
 use easgd_tensor::{Rng, Tensor};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Per-dispatch fixed cost α (µs): per-layer kernel launches on the
@@ -59,6 +65,9 @@ const DEADLINE_US: u64 = 300;
 
 /// Batch caps swept.
 const CAPS: [usize; 3] = [1, 4, 8];
+
+/// The executed replicas' batch cap (the largest swept cap).
+const EXEC_CAP: usize = 8;
 
 /// One sim sweep row.
 struct SweepRow {
@@ -136,8 +145,9 @@ fn saturation_ratio(n: usize) -> f64 {
 }
 
 /// Executed half: real LeNet replicas. Returns (allocs per request at
-/// steady state, eval bitwise ok, wall QPS, requests measured).
-fn run_executed(smoke: bool) -> (f64, bool, f64, usize) {
+/// steady state, eval bitwise ok, wall QPS, requests measured, measured
+/// service curve).
+fn run_executed(smoke: bool) -> (f64, bool, f64, usize, MeasuredService) {
     let sample_len: usize = 28 * 28;
     let mut rng = Rng::new(0x5EED);
     let pool: Vec<f32> = (0..sample_len * 64).map(|_| rng.uniform()).collect();
@@ -161,7 +171,7 @@ fn run_executed(smoke: bool) -> (f64, bool, f64, usize) {
     let mut engine = ServeEngine::new(
         BatcherConfig {
             shards: SHARDS,
-            batch_cap: 8,
+            batch_cap: EXEC_CAP,
             deadline_us: DEADLINE_US,
             sample_len,
         },
@@ -202,7 +212,57 @@ fn run_executed(smoke: bool) -> (f64, bool, f64, usize) {
         bitwise_ok,
         measure_n as f64 / wall_s.max(1e-12),
         measure_n,
+        measure_service(&pool, sample_len, smoke),
     )
+}
+
+/// Measured `step(B)` of one executed replica and its `α + β·B` fit.
+struct MeasuredService {
+    /// Median wall time of one `infer` call, B = 1..=EXEC_CAP (µs).
+    step_us: Vec<f64>,
+    fixed_us: f64,
+    per_sample_us: f64,
+    r2: f64,
+}
+
+/// Times `step(B)` for B = 1..=EXEC_CAP on one served LeNet replica (a
+/// gradient-stripped, prepacked `InferSession`), inside group 0 of a
+/// `SHARDS`-way partitioned pool exactly as a `ReplicaSet` shard runs,
+/// then least-squares fits `α + β·B`. Every B is warmed once; the timed
+/// calls then cycle through B = 1..=EXEC_CAP `reps` times, so a slow
+/// stretch of the host hits every B alike, and each B keeps its median.
+fn measure_service(pool: &[f32], sample_len: usize, smoke: bool) -> MeasuredService {
+    let part = PartitionedPool::new(SHARDS);
+    let mut session = easgd_serve::InferSession::new(lenet(101));
+    let reps = if smoke { 9 } else { 201 };
+    let mut times: Vec<Vec<f64>> = (0..EXEC_CAP).map(|_| Vec::with_capacity(reps)).collect();
+    with_pool(part.group(0), || {
+        for b in 1..=EXEC_CAP {
+            let _ = session.infer(b, &pool[..b * sample_len]);
+        }
+        for _ in 0..reps {
+            for (b, t_b) in (1..=EXEC_CAP).zip(&mut times) {
+                let t = Instant::now();
+                black_box(session.infer(b, &pool[..b * sample_len]));
+                t_b.push(t.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+    });
+    let step_us: Vec<f64> = times
+        .iter_mut()
+        .map(|t| {
+            t.sort_by(f64::total_cmp);
+            t[reps / 2]
+        })
+        .collect();
+    let batch: Vec<f64> = (1..=EXEC_CAP).map(|b| b as f64).collect();
+    let (fixed_us, per_sample_us, r2) = linear_fit(&batch, &step_us);
+    MeasuredService {
+        step_us,
+        fixed_us,
+        per_sample_us,
+        r2,
+    }
 }
 
 struct Acceptance {
@@ -243,7 +303,12 @@ fn render_rows(rows: &[SweepRow]) -> String {
     out
 }
 
-fn render_json(rows: &[SweepRow], acc: &Acceptance, model: ServiceModel) -> String {
+fn render_json(
+    rows: &[SweepRow],
+    acc: &Acceptance,
+    model: ServiceModel,
+    measured: &MeasuredService,
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": 1,\n");
@@ -256,6 +321,17 @@ fn render_json(rows: &[SweepRow], acc: &Acceptance, model: ServiceModel) -> Stri
         "  \"service_model\": {{\"fixed_us\": {:.3}, \"per_sample_us\": {:.4}, \
          \"shards\": {SHARDS}, \"deadline_us\": {DEADLINE_US}}},\n",
         model.fixed_us, model.per_sample_us
+    ));
+    let steps: Vec<String> = measured.step_us.iter().map(|s| format!("{s:.2}")).collect();
+    out.push_str(&format!(
+        "  \"measured_service\": {{\"label\": \"wall-clock step(B) of one prepacked LeNet \
+         replica in one of {SHARDS} pool groups, B = 1..{EXEC_CAP}, least-squares fit alpha + beta*B; \
+         host-dependent, not part of sim_bit_identical, not yet driving the sweep\", \
+         \"fixed_us\": {:.3}, \"per_sample_us\": {:.4}, \"r2\": {:.4}, \"step_us\": [{}]}},\n",
+        measured.fixed_us,
+        measured.per_sample_us,
+        measured.r2,
+        steps.join(", ")
     ));
     out.push_str("  \"acceptance\": {\n");
     out.push_str(&format!(
@@ -326,7 +402,7 @@ fn main() {
     let sim_bit_identical =
         render_rows(&rows) == render_rows(&rows2) && qps_ratio == saturation_ratio(sat_n);
 
-    let (allocs_per_request, eval_bitwise_ok, wall_qps, measured) = run_executed(smoke);
+    let (allocs_per_request, eval_bitwise_ok, wall_qps, measured, service) = run_executed(smoke);
 
     let acc = Acceptance {
         qps_ratio,
@@ -360,6 +436,10 @@ fn main() {
     println!(
         "executed LeNet replicas: {measured} requests at {wall_qps:.0} req/s wall (host-dependent; stdout only)"
     );
+    println!(
+        "measured service: step(B) = {:.1} + {:.2}·B µs (R² {:.3}); per B: {:?}",
+        service.fixed_us, service.per_sample_us, service.r2, service.step_us
+    );
 
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     let out_path = arg_value("--out").unwrap_or_else(|| default_out.to_string());
@@ -389,7 +469,7 @@ fn main() {
         }
         return;
     }
-    let json = render_json(&rows, &acc, model);
+    let json = render_json(&rows, &acc, model, &service);
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("\nwrote {out_path}"),
         Err(e) => {

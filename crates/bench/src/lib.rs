@@ -79,6 +79,32 @@ pub fn arg_value(flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Least-squares fit `y = a + b·x`; returns `(a, b, r²)`.
+pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
+    let n = xs.len() as f64;
+    let mx = xs.iter().sum::<f64>() / n;
+    let my = ys.iter().sum::<f64>() / n;
+    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+    let b = sxy / sxx;
+    let a = my - b * mx;
+    let ss_res: f64 = xs
+        .iter()
+        .zip(ys)
+        .map(|(x, y)| {
+            let e = y - (a + b * x);
+            e * e
+        })
+        .sum();
+    let ss_tot: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
+    let r2 = if ss_tot > 0.0 {
+        1.0 - ss_res / ss_tot
+    } else {
+        1.0
+    };
+    (a, b, r2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,10 @@
 //! to the code that produces them. A key listed in
 //! [`BenchSchema::required_true`] must be present *and* literally
 //! `true` — those are correctness gates (monotonicity, bit-identity),
-//! never environment-dependent measurements.
+//! never environment-dependent measurements. A labelled block listed in
+//! [`BenchSchema::required_blocks`] (e.g. `BENCH_serve.json`'s
+//! wall-clock `measured_service`) must be present as a JSON object
+//! holding each of its numeric keys.
 
 use std::path::Path;
 
@@ -26,6 +29,9 @@ pub struct BenchSchema {
     pub required_numbers: &'static [&'static str],
     /// Acceptance keys that must be present and literally `true`.
     pub required_true: &'static [&'static str],
+    /// Labelled objects (`"name": {…}`) that must be present, each with
+    /// the numeric keys listed.
+    pub required_blocks: &'static [(&'static str, &'static [&'static str])],
 }
 
 /// Every checked-in bench artifact and its required acceptance keys.
@@ -40,6 +46,7 @@ pub const SCHEMAS: &[BenchSchema] = &[
             "vgg_fc6_b32_speedup_vs_seed_fork_join",
         ],
         required_true: &[],
+        required_blocks: &[],
     },
     BenchSchema {
         file: "BENCH_comm.json",
@@ -56,6 +63,7 @@ pub const SCHEMAS: &[BenchSchema] = &[
             "pipelined_allocs_per_round",
         ],
         required_true: &[],
+        required_blocks: &[],
     },
     BenchSchema {
         file: "BENCH_train.json",
@@ -66,6 +74,7 @@ pub const SCHEMAS: &[BenchSchema] = &[
             "seed_allocs_per_train_step",
         ],
         required_true: &[],
+        required_blocks: &[],
     },
     BenchSchema {
         file: "BENCH_cluster.json",
@@ -81,6 +90,7 @@ pub const SCHEMAS: &[BenchSchema] = &[
             "max_event_ranks",
         ],
         required_true: &["figure13_speedup_monotone"],
+        required_blocks: &[],
     },
     BenchSchema {
         file: "BENCH_serve.json",
@@ -90,6 +100,7 @@ pub const SCHEMAS: &[BenchSchema] = &[
             "sim_bit_identical",
             "eval_bitwise_ok",
         ],
+        required_blocks: &[("measured_service", &["fixed_us", "per_sample_us", "r2"])],
     },
 ];
 
@@ -103,6 +114,41 @@ pub fn json_number(text: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// The text of the object `"key": {…}` (braces included), matched
+/// brace-for-brace outside string literals.
+pub fn json_block<'t>(text: &'t str, key: &str) -> Option<&'t str> {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start();
+    if !rest.starts_with('{') {
+        return None;
+    }
+    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+    for (i, ch) in rest.char_indices() {
+        if in_str {
+            match ch {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_str = false,
+                _ => {}
+            }
+            continue;
+        }
+        match ch {
+            '"' => in_str = true,
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&rest[..=i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Whether `"key": true` appears literally (the writers emit bare JSON
@@ -148,6 +194,16 @@ pub fn validate_text(schema: &BenchSchema, text: &str) -> Result<(), String> {
             format!("{}: missing boolean acceptance key {key}", schema.file)
         });
     }
+    for (name, keys) in schema.required_blocks {
+        let block = json_block(text, name)
+            .ok_or_else(|| format!("{}: missing block {name}", schema.file))?;
+        if let Some(key) = keys.iter().find(|k| json_number(block, k).is_none()) {
+            return Err(format!(
+                "{}: block {name} lacks numeric key {key}",
+                schema.file
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -176,6 +232,8 @@ mod tests {
     const GOOD: &str = r#"{
   "schema": 1,
   "generated_by": "cargo run --release -p easgd-bench --bin serve",
+  "service_model": {"fixed_us": 80.000, "per_sample_us": 1.4559},
+  "measured_service": {"label": "wall {clock}", "fixed_us": 95.1, "per_sample_us": 41.07, "r2": 0.9987, "step_us": [136.1, 177.5]},
   "acceptance": {
     "qps_batch8_over_batch1": 7.11,
     "steady_state_allocs_per_request": 0.00,
@@ -212,6 +270,26 @@ mod tests {
         let keyless = GOOD.replace("qps_batch8_over_batch1", "qps_renamed");
         let err = validate_text(serve_schema(), &keyless).unwrap_err();
         assert!(err.contains("missing numeric"), "{err}");
+    }
+
+    #[test]
+    fn required_blocks_are_checked_inside_the_block() {
+        let block = json_block(GOOD, "measured_service").unwrap();
+        assert!(block.starts_with('{') && block.ends_with('}'), "{block}");
+        assert_eq!(json_number(block, "fixed_us"), Some(95.1));
+
+        let missing = GOOD.replace("\"measured_service\"", "\"measured\"");
+        let err = validate_text(serve_schema(), &missing).unwrap_err();
+        assert!(err.contains("missing block measured_service"), "{err}");
+
+        // The same key elsewhere in the file (the pinned service model)
+        // does not satisfy the block.
+        let keyless = GOOD.replace("\"r2\": 0.9987", "\"fit\": 0.9987");
+        let err = validate_text(serve_schema(), &keyless).unwrap_err();
+        assert!(err.contains("lacks numeric key r2"), "{err}");
+        let shadowed = GOOD.replace("\"fixed_us\": 95.1, ", "");
+        let err = validate_text(serve_schema(), &shadowed).unwrap_err();
+        assert!(err.contains("lacks numeric key fixed_us"), "{err}");
     }
 
     #[test]

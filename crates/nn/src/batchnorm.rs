@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn gradients_pass_finite_difference_check() {
-        use crate::gradcheck::check_layer_mode;
+        use crate::gradcheck::check_layer;
         let mut l = BatchNorm::new("bn", 3, 4);
         let (mut params, grads) = build_arenas(&mut l, 3);
         // Non-trivial γ/β so all gradient paths are exercised; train-mode
@@ -285,7 +285,7 @@ mod tests {
         let mut rng = Rng::new(4);
         rng.fill_normal(params.segment_mut(0), 1.0, 0.2);
         rng.fill_normal(params.segment_mut(1), 0.0, 0.2);
-        check_layer_mode(&mut l, params, grads, &[3, 4], 4, 3e-2, 5, true);
+        check_layer(&mut l, params, grads, &[3, 4], 4, 3e-2, 5);
     }
 
     #[test]

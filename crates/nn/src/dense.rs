@@ -1,7 +1,9 @@
 //! Fully-connected layer.
 
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
-use easgd_tensor::{gemm, gemm_rowstable, ParamArena, Tensor, TrainScratch, Transpose};
+use easgd_tensor::{
+    gemm, gemm_packed, gemm_rowstable, PackedB, ParamArena, Tensor, TrainScratch, Transpose,
+};
 
 /// Fully-connected (inner-product) layer: `Y = X·Wᵀ + b`.
 ///
@@ -17,7 +19,14 @@ pub struct Dense {
     pub out_features: usize,
     w_seg: usize,
     b_seg: usize,
-    input_cache: Option<Tensor>,
+    /// The input of the last train-mode forward (backward's `X`);
+    /// `cached` is false until one ran and after any eval forward.
+    input_cache: Tensor,
+    cached: bool,
+    /// Set on a serving replica by [`Layer::prepack`]: the arena's
+    /// weight segment then holds `Wᵀ` in this packed layout, which eval
+    /// forwards read.
+    packed: Option<PackedB>,
 }
 
 impl Dense {
@@ -33,7 +42,9 @@ impl Dense {
             out_features,
             w_seg: usize::MAX,
             b_seg: usize::MAX,
-            input_cache: None,
+            input_cache: Tensor::default(),
+            cached: false,
+            packed: None,
         }
     }
 
@@ -93,33 +104,56 @@ impl Layer for Dense {
             self.in_features,
             input.shape()
         );
-        let w = params.segment(self.w_seg);
         let bias = params.segment(self.b_seg);
         scratch.shape_tensor(out, &[b, self.out_features]);
         // Y[B,out] = X[B,in] · Wᵀ  (W stored [out,in]; β = 0 never reads
         // the reused buffer, so no zeroing is needed). Eval mode picks
-        // the kernel per row (`gemm_rowstable`) so a sample's logits are
-        // bit-identical at any serving batch size; training keeps the
-        // total-flops dispatch that the golden traces pin.
-        let mm = if train { gemm } else { gemm_rowstable };
-        mm(
-            Transpose::No,
-            Transpose::Yes,
-            b,
-            self.out_features,
-            self.in_features,
-            1.0,
-            input.as_slice(),
-            w,
-            0.0,
-            out.as_mut_slice(),
-        );
+        // the kernel per row (`gemm_rowstable`, or its prepacked twin
+        // with identical bits) so a sample's logits are bit-identical at
+        // any serving batch size; training keeps the total-flops dispatch
+        // that the golden traces pin.
+        match (&self.packed, train) {
+            (Some(packed), false) => gemm_packed(
+                Transpose::No,
+                b,
+                1.0,
+                input.as_slice(),
+                *packed,
+                params.segment(self.w_seg),
+                0.0,
+                out.as_mut_slice(),
+            ),
+            (Some(_), true) => panic!(
+                "dense '{}': train-mode forward on a prepacked inference replica",
+                self.name
+            ),
+            (None, _) => {
+                let mm = if train { gemm } else { gemm_rowstable };
+                mm(
+                    Transpose::No,
+                    Transpose::Yes,
+                    b,
+                    self.out_features,
+                    self.in_features,
+                    1.0,
+                    input.as_slice(),
+                    params.segment(self.w_seg),
+                    0.0,
+                    out.as_mut_slice(),
+                );
+            }
+        }
         for row in out.as_mut_slice().chunks_mut(self.out_features) {
             easgd_tensor::ops::add_assign(row, bias);
         }
-        let cache = self.input_cache.get_or_insert_with(Tensor::default);
-        scratch.shape_tensor(cache, input.shape().dims());
-        cache.as_mut_slice().copy_from_slice(input.as_slice());
+        // Only backward reads the input copy; eval forwards skip it.
+        self.cached = train;
+        if train {
+            scratch.shape_tensor(&mut self.input_cache, input.shape().dims());
+            self.input_cache
+                .as_mut_slice()
+                .copy_from_slice(input.as_slice());
+        }
     }
 
     fn backward_into(
@@ -130,10 +164,13 @@ impl Layer for Dense {
         grad_in: &mut Tensor,
         scratch: &mut TrainScratch,
     ) {
-        let input = self
-            .input_cache
-            .as_ref()
-            .expect("backward called before forward");
+        assert!(
+            self.cached,
+            "dense '{}': backward needs a train-mode forward first \
+             (eval forwards keep no input cache)",
+            self.name
+        );
+        let input = &self.input_cache;
         let b = batch_of(input);
         assert_eq!(
             grad_out.len(),
@@ -176,6 +213,26 @@ impl Layer for Dense {
             0.0,
             grad_in.as_mut_slice(),
         );
+    }
+
+    fn prepack_plan(&self) -> Vec<(usize, usize)> {
+        let layout = PackedB::new(self.in_features, self.out_features);
+        if self.packed.is_some() || !layout.worth_packing() {
+            return Vec::new();
+        }
+        vec![(self.w_seg, layout.len())]
+    }
+
+    fn prepack(&mut self, seg: usize, buf: &mut [f32]) {
+        assert_eq!(
+            seg, self.w_seg,
+            "dense '{}' packs only its weight",
+            self.name
+        );
+        // op(B) = Wᵀ, and W stored [out, in] is exactly Wᵀ transposed.
+        let layout = PackedB::new(self.in_features, self.out_features);
+        layout.pack_in_place(buf);
+        self.packed = Some(layout);
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
@@ -243,6 +300,70 @@ mod tests {
     #[test]
     fn num_params_counts_weight_and_bias() {
         assert_eq!(Dense::new("fc", 10, 7).num_params(), 77);
+    }
+
+    #[test]
+    #[should_panic(expected = "train-mode forward")]
+    fn backward_after_eval_forward_panics() {
+        let mut rng = Rng::new(5);
+        let mut l = Dense::new("fc", 4, 3);
+        let (params, mut grads) = build(&mut l, &mut rng);
+        let x = Tensor::from_vec([2, 4], vec![0.5; 8]);
+        let _ = l.forward(&params, &x, true);
+        // The eval forward must invalidate the train forward's cache
+        // rather than leave it for backward to read.
+        let _ = l.forward(&params, &x, false);
+        let _ = l.backward(&params, &mut grads, &Tensor::zeros([2, 3]));
+    }
+
+    /// Prepacks `l` the way `Network::prepack_for_inference` does: the
+    /// weight segment grown in place and repacked.
+    fn prepacked(l: &mut Dense, params: &ParamArena) -> ParamArena {
+        let plan = l.prepack_plan();
+        assert_eq!(plan.len(), 1, "layer should plan its weight");
+        let (seg, len) = plan[0];
+        let mut packed = params.clone();
+        packed.grow_segments(&[len, l.out_features]);
+        l.prepack(seg, packed.segment_mut(seg));
+        packed
+    }
+
+    #[test]
+    fn prepacked_eval_forward_is_bit_identical() {
+        let mut rng = Rng::new(6);
+        // 2·in·out past the per-row blocked threshold, so the layer packs.
+        let mut l = Dense::new("fc", 300, 250);
+        let (params, _) = build(&mut l, &mut rng);
+        let x = Tensor::from_vec([8, 300], (0..2400).map(|i| (i as f32).sin()).collect());
+        let reference = l.forward(&params, &x, false);
+        let packed = prepacked(&mut l, &params);
+        assert_eq!(packed.segment(l.w_seg).len(), 256 * 300);
+        // Packing twice is a no-op: the layer plans nothing more.
+        assert!(l.prepack_plan().is_empty());
+        for rows in [1usize, 3, 8] {
+            let xs = Tensor::from_vec([rows, 300], x.as_slice()[..rows * 300].to_vec());
+            let got = l.forward(&packed, &xs, false);
+            let want = &reference.as_slice()[..rows * 250];
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "packed rows diverged at batch {rows}"
+            );
+        }
+        // Small layers keep the row-major weights and the row loop.
+        assert!(Dense::new("fc", 5, 4).prepack_plan().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "prepacked inference replica")]
+    fn prepacked_layer_refuses_train_forward() {
+        let mut rng = Rng::new(7);
+        let mut l = Dense::new("fc", 300, 250);
+        let (params, _) = build(&mut l, &mut rng);
+        let packed = prepacked(&mut l, &params);
+        let _ = l.forward(&packed, &Tensor::zeros([1, 300]), true);
     }
 
     #[test]

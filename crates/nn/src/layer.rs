@@ -65,7 +65,10 @@ pub struct ParamSpec {
 ///   performs zero heap allocations (DESIGN.md §11).
 /// * [`backward_into`](Layer::backward_into) consumes `∂L/∂output`,
 ///   **accumulates** `∂L/∂params` into `grads` (callers zero the arena
-///   per step), and writes `∂L/∂input` into `grad_in`.
+///   per step), and writes `∂L/∂input` into `grad_in`. It reads the
+///   caches of the last **train-mode** forward: an eval forward may skip
+///   caches only backward reads (`Dense`, `MaxPool2d` do), after which
+///   backward panics rather than read a stale cache.
 /// * [`forward`](Layer::forward) / [`backward`](Layer::backward) are the
 ///   original allocating forms, now provided as shims over the `_into`
 ///   kernels (mirroring the PR 4 `_into` collectives). The defaults are
@@ -151,6 +154,21 @@ pub trait Layer: Send + Sync {
         *grad_in = self.backward(params, grads, grad_out);
         scratch.note_external_alloc();
     }
+
+    /// Eval-only weight prepacking for a gradient-stripped serving
+    /// replica (DESIGN.md §16.5): the parameter segments this layer's
+    /// eval forward would read faster in a prepacked layout, each as
+    /// `(segment, packed length in floats)`. Default: none.
+    fn prepack_plan(&self) -> Vec<(usize, usize)> {
+        Vec::new()
+    }
+
+    /// Rewrites planned segment `seg` into its packed layout in place:
+    /// `buf` is the segment, already grown to its planned length with
+    /// the row-major values at its start. Eval forwards then read the
+    /// packed form, bit-identically. Called once per segment of
+    /// [`prepack_plan`](Layer::prepack_plan); the default plans none.
+    fn prepack(&mut self, _seg: usize, _buf: &mut [f32]) {}
 
     /// Clones the layer (including its configuration, excluding transient
     /// caches is permitted) into a box. Needed because every worker in a

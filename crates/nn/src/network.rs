@@ -468,12 +468,14 @@ impl Network {
         let mut ping = s.take_ping();
         let mut pong = s.take_pong();
         let mut first = true;
+        let mut swapped = false;
         for layer in &mut self.layers {
             if first {
                 layer.forward_into(&self.params, x, false, &mut pong, s);
                 first = false;
             } else {
                 std::mem::swap(&mut ping, &mut pong);
+                swapped = !swapped;
                 layer.forward_into(&self.params, &ping, false, &mut pong, s);
             }
         }
@@ -484,6 +486,13 @@ impl Network {
         }
         s.shape_tensor(logits, pong.shape().dims());
         logits.as_mut_slice().copy_from_slice(pong.as_slice());
+        // Return each slot under the role it was taken with: after an odd
+        // number of swaps the slots would trade roles between calls, and
+        // each would first meet the other's layer sizes on call two (one
+        // late growth after a warm-up call).
+        if swapped {
+            std::mem::swap(&mut ping, &mut pong);
+        }
         s.put_ping(ping);
         s.put_pong(pong);
     }
@@ -526,6 +535,45 @@ impl Network {
     /// A stripped replica must not train: `forward_backward` panics.
     pub fn strip_gradients(&mut self) {
         self.grads = ParamArena::flat(0);
+    }
+
+    /// Prepacks a stripped inference replica's weights for serving
+    /// (DESIGN.md §16.5) and returns how many segments it packed. Every
+    /// layer that serves faster from a packed layout
+    /// ([`Layer::prepack_plan`] — today each `Dense` whose per-row flops
+    /// `2·in·out` reach the blocked GEMM) has its segments rewritten into
+    /// that layout *inside* the arena: the arena grows in place by the
+    /// layouts' tile padding and each segment is permuted where it lies,
+    /// so the replica keeps one copy of every weight, in one allocation,
+    /// and never holds a second one. Segment indices are kept, so layer
+    /// bindings stay valid. Eval-mode outputs are unchanged bit for bit;
+    /// the replica can no longer run a train-mode forward, and
+    /// [`params`](Self::params) then holds the packed layout.
+    ///
+    /// # Panics
+    /// Panics unless [`strip_gradients`](Self::strip_gradients) ran first
+    /// (a replica that can still train must keep its row-major weights).
+    pub fn prepack_for_inference(&mut self) -> usize {
+        assert!(
+            self.grads.is_empty(),
+            "prepack_for_inference needs a gradient-stripped replica \
+             (call strip_gradients first)"
+        );
+        let mut lens: Vec<usize> = self.params.segments().iter().map(|s| s.len).collect();
+        let mut plan = Vec::new();
+        for (li, layer) in self.layers.iter().enumerate() {
+            for (seg, len) in layer.prepack_plan() {
+                lens[seg] = len;
+                plan.push((li, seg));
+            }
+        }
+        if !plan.is_empty() {
+            self.params.grow_segments(&lens);
+        }
+        for &(li, seg) in &plan {
+            self.layers[li].prepack(seg, self.params.segment_mut(seg));
+        }
+        plan.len()
     }
 
     /// Allocation counters of the pooled step scratch. A warmed-up
@@ -762,6 +810,42 @@ mod tests {
         let mut logits = Tensor::default();
         net.infer_into(&x, &mut logits, &mut scratch);
         assert_eq!(logits.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn prepacked_lenet_keeps_one_copy_of_each_weight() {
+        let mut net = crate::models::lenet(3);
+        let x = Tensor::from_vec(
+            [2, 1, 28, 28],
+            (0..2 * 784).map(|i| (i as f32).cos()).collect(),
+        );
+        let reference = net.forward(&x, false);
+        let fc6 = net.params().find("fc6.weight").expect("fc6 weight");
+        let fc8 = net.params().find("fc8.weight").expect("fc8 weight");
+        let before = net.num_params();
+        net.strip_gradients();
+        assert_eq!(net.prepack_for_inference(), 1);
+        // fc6 (800→500) now lives only in its packed strips, padded to
+        // 16 tiles of 32 columns; fc8 (500→10) is below the per-row
+        // threshold and stays row-major.
+        assert_eq!(net.params().segment(fc6).len(), 16 * 32 * 800);
+        assert_eq!(net.params().segment(fc8).len(), 500 * 10);
+        assert_eq!(net.num_params(), before + 12 * 800);
+        let got = net.forward(&x, false);
+        assert_eq!(bits(got.as_slice()), bits(reference.as_slice()));
+        // A second call finds nothing left to pack.
+        assert_eq!(net.prepack_for_inference(), 0);
+        assert_eq!(net.num_params(), before + 12 * 800);
+    }
+
+    #[test]
+    #[should_panic(expected = "strip_gradients first")]
+    fn prepack_requires_a_stripped_replica() {
+        crate::models::lenet(3).prepack_for_inference();
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -33,9 +33,12 @@ impl PoolGeom {
 pub struct MaxPool2d {
     name: String,
     geom: PoolGeom,
-    /// For each output element of the last batch: the flat input index of
-    /// its maximum (the routing for backward).
+    /// For each output element of the last train-mode batch: the flat
+    /// input index of its maximum (the routing for backward). `routed`
+    /// is false until a train-mode forward filled it and after any eval
+    /// forward, which skips it.
     argmax: Vec<usize>,
+    routed: bool,
 }
 
 impl MaxPool2d {
@@ -64,6 +67,7 @@ impl MaxPool2d {
                 stride,
             },
             argmax: Vec::new(),
+            routed: false,
         }
     }
 }
@@ -81,7 +85,7 @@ impl Layer for MaxPool2d {
         &mut self,
         _params: &ParamArena,
         input: &Tensor,
-        _train: bool,
+        train: bool,
         out: &mut Tensor,
         scratch: &mut TrainScratch,
     ) {
@@ -92,7 +96,11 @@ impl Layer for MaxPool2d {
         let (oh, ow) = (g.out_h(), g.out_w());
         let out_len = g.channels * g.out_plane();
         scratch.shape_tensor(out, &[b, g.channels, oh, ow]);
-        scratch.ensure_usize(&mut self.argmax, b * out_len);
+        // Only backward reads the routing; eval forwards skip it.
+        self.routed = train;
+        if train {
+            scratch.ensure_usize(&mut self.argmax, b * out_len);
+        }
         let x = input.as_slice();
         let y = out.as_mut_slice();
         for s in 0..b {
@@ -116,7 +124,9 @@ impl Layer for MaxPool2d {
                         }
                         let o = out_off + oy * ow + ox;
                         y[o] = best;
-                        self.argmax[o] = best_idx;
+                        if train {
+                            self.argmax[o] = best_idx;
+                        }
                     }
                 }
             }
@@ -132,6 +142,12 @@ impl Layer for MaxPool2d {
         scratch: &mut TrainScratch,
     ) {
         let g = &self.geom;
+        assert!(
+            self.routed,
+            "maxpool '{}': backward needs a train-mode forward first \
+             (eval forwards keep no argmax routing)",
+            self.name
+        );
         assert_eq!(
             grad_out.len(),
             self.argmax.len(),
@@ -149,6 +165,7 @@ impl Layer for MaxPool2d {
     fn boxed_clone(&self) -> Box<dyn Layer> {
         let mut c = self.clone();
         c.argmax = Vec::new();
+        c.routed = false;
         Box::new(c)
     }
 }
@@ -309,6 +326,19 @@ mod tests {
         let mut g = ParamArena::flat(0);
         let gx = l.backward(&ParamArena::flat(0), &mut g, &gy);
         assert_eq!(gx.as_slice(), &[0., 5., 0., 0.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "train-mode forward")]
+    fn maxpool_backward_after_eval_forward_panics() {
+        let mut l = MaxPool2d::new("p", 1, 2, 2, 2, 2);
+        let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 9., 3., 4.]);
+        let _ = l.forward(&ParamArena::flat(0), &x, true);
+        // Same batch shape, so only the explicit check stops backward
+        // from routing through the train forward's stale argmax.
+        let _ = l.forward(&ParamArena::flat(0), &x, false);
+        let gy = Tensor::from_vec([1, 1, 1, 1], vec![5.0]);
+        let _ = l.backward(&ParamArena::flat(0), &mut ParamArena::flat(0), &gy);
     }
 
     #[test]

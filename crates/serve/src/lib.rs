@@ -14,7 +14,8 @@
 //! that trade deterministically:
 //!
 //! * [`session`] — [`InferSession`]: a gradient-stripped [`Network`]
-//!   replica plus a forward-only [`InferScratch`], reaching the same
+//!   replica with its large dense weights prepacked once (bit-identical
+//!   logits) plus a forward-only [`InferScratch`], reaching the same
 //!   zero-allocations-per-request steady state as the training step;
 //!   [`ReplicaSet`] shards replicas over a `par::PartitionedPool`.
 //! * [`batcher`] — the dynamic micro-batcher: per-shard FIFO queues with

@@ -9,10 +9,12 @@ use easgd_tensor::{InferScratch, ScratchStats, Tensor};
 
 /// One serving replica: a [`Network`] with its gradient arena stripped
 /// (half the training replica's memory; calling `forward_backward`
-/// panics), a forward-only [`InferScratch`], and an owned logits
-/// tensor. After one warm-up dispatch per batch size, `infer` performs
-/// zero pooled allocations — the serving analogue of the training
-/// step's steady state (DESIGN.md §11).
+/// panics) and its large dense weights prepacked for the eval GEMM
+/// (DESIGN.md §16.5; one copy each, bit-identical logits), a
+/// forward-only [`InferScratch`], and an owned logits tensor. After one
+/// warm-up dispatch per batch size, `infer` performs zero pooled
+/// allocations — the serving analogue of the training step's steady
+/// state (DESIGN.md §11).
 pub struct InferSession {
     net: Network,
     scratch: InferScratch,
@@ -21,10 +23,12 @@ pub struct InferSession {
 }
 
 impl InferSession {
-    /// Wraps a built network as a serving replica, dropping its
-    /// gradient arena.
+    /// Wraps a built network as a serving replica: drops its gradient
+    /// arena, then prepacks its weights (in that order, so the replica
+    /// never holds more than the training replica did).
     pub fn new(mut net: Network) -> Self {
         net.strip_gradients();
+        net.prepack_for_inference();
         let sample_len = net.input_shape().iter().product();
         let classes = net.num_classes();
         Self {

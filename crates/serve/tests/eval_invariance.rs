@@ -17,7 +17,8 @@ use easgd_tensor::Tensor;
 
 /// A network exercising every eval-mode-sensitive layer in the zoo:
 /// batchnorm (conv and dense placements), LRN, dropout, both pools,
-/// and all three activations.
+/// all three activations, and a dense layer big enough that serving
+/// replicas prepack it (256→320, two column panels at `k = KC`).
 fn zoo_net() -> Network {
     NetworkBuilder::new([2, 8, 8])
         .conv2d(4, 3, 1, 1)
@@ -29,10 +30,12 @@ fn zoo_net() -> Network {
         .tanh()
         .avgpool(2, 2)
         .flatten()
-        .dense(16)
+        .dense(256)
         .batchnorm()
         .sigmoid()
         .dropout(0.5)
+        .dense(320)
+        .relu()
         .dense(10)
         .build(0xBEEF)
 }
@@ -145,5 +148,64 @@ fn lenet_session_serves_full_batch_rows_bitwise() {
             &y_full.as_slice()[start * classes..(start + k) * classes],
             "LeNet batch of {k} at row {start} diverged"
         );
+    }
+}
+
+/// Pooled scratch allocations of the second call on a fresh session at
+/// batch size `b`: one call must warm it.
+fn second_call_allocations(net: &Network, b: usize, px: &[f32]) -> u64 {
+    let mut session = InferSession::new(net.clone());
+    let sample_len = session.sample_len();
+    let _ = session.infer(b, &px[..b * sample_len]);
+    let warm = session.stats();
+    let _ = session.infer(b, &px[..b * sample_len]);
+    session.stats().since(&warm).allocations()
+}
+
+#[test]
+fn one_call_warms_a_fresh_session() {
+    let mut zoo = zoo_net();
+    let zoo_len: usize = zoo.input_shape().iter().product();
+    warm_running_stats(&mut zoo, zoo_len);
+    let lenet = models::lenet(7);
+    for (name, net) in [("zoo", &zoo), ("lenet", &lenet)] {
+        let sample_len: usize = net.input_shape().iter().product();
+        let px = pixels(8 * sample_len, 0.25);
+        for b in [1usize, 8] {
+            assert_eq!(
+                second_call_allocations(net, b, &px),
+                0,
+                "{name} session allocated on its second call at batch {b}"
+            );
+        }
+    }
+}
+
+#[test]
+fn prepacked_lenet_matches_unstripped_forward_at_every_batch_size() {
+    let mut net = models::lenet(42);
+    let sample_len: usize = net.input_shape().iter().product();
+    let px = pixels(8 * sample_len, 1.5);
+    let mut session = InferSession::new(net.clone());
+    for b in 1..=8usize {
+        let x = Tensor::from_vec([b, 1, 28, 28], px[..b * sample_len].to_vec());
+        let want = net.forward(&x, false);
+        let got = session.infer(b, &px[..b * sample_len]);
+        assert!(
+            got.iter()
+                .zip(want.as_slice())
+                .all(|(a, w)| a.to_bits() == w.to_bits()),
+            "prepacked LeNet diverged from the unstripped forward at batch {b}"
+        );
+    }
+}
+
+#[test]
+fn serving_replicas_prepack_the_zoo_and_lenet() {
+    // Guards the fixtures above: each must actually serve from a packed
+    // operand, or the bitwise tests would not exercise it.
+    for mut net in [zoo_net(), models::lenet(1)] {
+        net.strip_gradients();
+        assert_eq!(net.prepack_for_inference(), 1, "one dense layer packs");
     }
 }

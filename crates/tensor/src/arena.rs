@@ -195,6 +195,38 @@ impl ParamArena {
     pub fn zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
+
+    /// Grows every segment in place to `lens[i] ≥` its current length,
+    /// keeping its values at the start of its new range and zeroing the
+    /// grown tail. The buffer is extended (a `realloc`, which moves large
+    /// allocations by remapping pages rather than copying them) and the
+    /// segments are shifted back to front, so the arena never holds a
+    /// second copy of its contents — how a serving replica makes room to
+    /// repack its weights in place (DESIGN.md §16.5).
+    ///
+    /// # Panics
+    /// Panics if `lens` does not give one length per segment, or would
+    /// shrink one.
+    pub fn grow_segments(&mut self, lens: &[usize]) {
+        assert_eq!(lens.len(), self.segments.len(), "one length per segment");
+        let mut total = 0;
+        let mut offsets = Vec::with_capacity(lens.len());
+        for (seg, &len) in self.segments.iter().zip(lens) {
+            assert!(len >= seg.len, "segment {} cannot shrink", seg.name);
+            offsets.push(total);
+            total += len;
+        }
+        self.data.resize(total, 0.0);
+        // New offsets never precede old ones, so moving the last segment
+        // first never overwrites data that has yet to move, and every
+        // grown tail lies past all unmoved data.
+        for ((seg, &len), &offset) in self.segments.iter_mut().zip(lens).zip(&offsets).rev() {
+            self.data.copy_within(seg.range(), offset);
+            self.data[offset + seg.len..offset + len].fill(0.0);
+            seg.offset = offset;
+            seg.len = len;
+        }
+    }
 }
 
 impl fmt::Debug for ParamArena {
@@ -554,6 +586,19 @@ mod tests {
         assert!(a.segment(1).iter().all(|&x| x == 5.0));
         assert!(a.segment(2).iter().all(|&x| x == 0.0));
         assert_eq!(a.as_slice()[6], 5.0);
+    }
+
+    #[test]
+    fn grow_segments_shifts_values_and_zeroes_tails() {
+        let mut a = sample();
+        let v: Vec<f32> = (1..=12).map(|i| i as f32).collect();
+        a.as_mut_slice().copy_from_slice(&v);
+        a.grow_segments(&[6, 5, 7]);
+        assert_eq!(a.len(), 18);
+        assert_eq!(a.segment(0), &v[..6]);
+        assert_eq!(a.segment(1), &[7.0, 8.0, 0.0, 0.0, 0.0]);
+        assert_eq!(a.segment(2), &[9.0, 10.0, 11.0, 12.0, 0.0, 0.0, 0.0]);
+        assert_eq!(a.segments()[2].offset, 11);
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //!   their *larger* dimension, so skinny-M layers split over N rather
 //!   than serializing on one row band.
 //!
+//! A weight operand reused across many calls can be staged once into the
+//! skinny nest's strip layout ([`PackedB`]); [`gemm_packed`] then runs
+//! that nest over it, bit-identical to [`gemm_rowstable`] (the served
+//! replicas' dense layers, DESIGN.md §16.5).
+//!
 //! The seed's naive kernel is retained as [`gemm_naive`] /
 //! [`gemm_naive_par`] so every future optimization can be A/B-measured
 //! in-repo (`cargo run --release -p easgd-bench --bin kernels`).
@@ -328,6 +333,197 @@ pub fn gemm_serial(
     blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
 }
 
+/// The layout of a `k×n` operand `op(B)` staged once into the skinny
+/// nest's strip order, for a weight operand that many GEMM calls reuse
+/// unchanged (a served replica's fully-connected layers: DESIGN.md
+/// §16.5). The strips live in a caller-owned buffer of [`len`] floats
+/// — a served replica keeps them in its parameter arena.
+///
+/// [`gemm_rowstable`] re-stages all of `op(B)` into microkernel strips on
+/// every call, whatever `m` is — for a batch-1 request that staging costs
+/// more than the flops. Packing pays it once: [`pack`] lays the strips of
+/// every (`SKINNY_NC`-column panel, `KC` block, `NR`-wide tile) back to
+/// back in exactly the order [`skinny_accumulate`] consumes them
+/// (panel-major, then block, then tile; each strip `kcb·NR` floats in
+/// `[p][j]` order, a short last tile zero-padded), and [`gemm_packed`]
+/// runs that nest's panel loop straight over them. The buffer is
+/// exactly `⌈n/NR⌉·NR·k` floats: the operand plus its last tile's
+/// padding.
+///
+/// [`len`]: PackedB::len
+/// [`pack`]: PackedB::pack
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+}
+
+impl PackedB {
+    /// The packed layout of a `k×n` operand.
+    pub fn new(k: usize, n: usize) -> Self {
+        Self { k, n }
+    }
+
+    /// Floats the strips occupy (the operand plus last-tile padding).
+    pub fn len(&self) -> usize {
+        self.n.div_ceil(NR) * NR * self.k
+    }
+
+    /// True for an operand with no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether packing reproduces [`gemm_rowstable`]: true exactly when
+    /// the per-row flops `2·n·k` reach the blocked kernel (below that,
+    /// `gemm_rowstable` runs the direct row loop, whose rounding differs,
+    /// and packing would not pay anyway).
+    pub fn worth_packing(&self) -> bool {
+        gemm_flops(1, self.n, self.k) >= SMALL_FLOPS
+    }
+
+    /// Stages `op(B)` into `strips` (`b` stored `k×n` row-major for
+    /// [`Transpose::No`], `n×k` for [`Transpose::Yes`]).
+    ///
+    /// # Panics
+    /// Panics if `b` holds fewer than `k·n` floats or `strips` is not
+    /// exactly [`len`](Self::len) floats.
+    pub fn pack(&self, tb: Transpose, b: &[f32], strips: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        assert!(
+            b.len() >= k * n,
+            "B buffer too small: {} < {}",
+            b.len(),
+            k * n
+        );
+        assert_eq!(strips.len(), self.len(), "packed buffer size mismatch");
+        let mut at = 0;
+        let mut jp = 0;
+        while jp < n {
+            let pw = SKINNY_NC.min(n - jp);
+            let mut pc = 0;
+            while pc < k {
+                let kcb = KC.min(k - pc);
+                for t in 0..pw.div_ceil(NR) {
+                    let jc = jp + t * NR;
+                    let jn = NR.min(n - jc);
+                    pack_b(tb, b, k, n, pc, kcb, jc, jn, &mut strips[at..][..kcb * NR]);
+                    at += kcb * NR;
+                }
+                pc += kcb;
+            }
+            jp += pw;
+        }
+    }
+
+    /// [`pack`](Self::pack) without a second copy of the operand: `buf`
+    /// holds `op(B)` stored transposed (`n×k` row-major, the
+    /// [`Transpose::Yes`] layout of a dense layer's weight) in its first
+    /// `k·n` floats and is rewritten into the packed layout, exactly
+    /// [`len`](Self::len) floats. A full `SKINNY_NC` panel occupies the
+    /// same range in both layouts, so each is permuted in place by
+    /// following cycles (a bitmap of visited slots is the only scratch);
+    /// the short last panel, which gains tile padding, is packed from a
+    /// copy of its own rows.
+    ///
+    /// # Panics
+    /// Panics unless `buf` is exactly [`len`](Self::len) floats.
+    pub fn pack_in_place(&self, buf: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        assert_eq!(buf.len(), self.len(), "packed buffer size mismatch");
+        if buf.is_empty() {
+            return;
+        }
+        let panel_len = SKINNY_NC * k;
+        let full = n / SKINNY_NC;
+        let tail = n - full * SKINNY_NC;
+        if tail > 0 {
+            let start = full * panel_len;
+            let rows = buf[start..start + tail * k].to_vec();
+            PackedB::new(k, tail).pack(Transpose::Yes, &rows, &mut buf[start..]);
+        }
+        // Row `r`, column `c` of a full panel's stored rows goes to tile
+        // `r / NR`, column `r % NR` of the strip for KC block `c / KC`.
+        let dest = |i: usize| {
+            let (r, c) = (i / k, i % k);
+            let (pc, p) = (c - c % KC, c % KC);
+            let kcb = KC.min(k - pc);
+            SKINNY_NC * pc + (r / NR) * kcb * NR + p * NR + r % NR
+        };
+        let mut visited = vec![0u64; panel_len.div_ceil(64)];
+        for panel in buf[..full * panel_len].chunks_exact_mut(panel_len) {
+            visited.fill(0);
+            for start in 0..panel_len {
+                if visited[start / 64] & (1 << (start % 64)) != 0 {
+                    continue;
+                }
+                let mut val = panel[start];
+                let mut at = start;
+                loop {
+                    at = dest(at);
+                    std::mem::swap(&mut val, &mut panel[at]);
+                    visited[at / 64] |= 1 << (at % 64);
+                    if at == start {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `C ← α·op(A)·B + β·C` over `B` prepacked into `strips` with layout
+/// `b` (`op(A)` is `m×k`, `C` is `m×n`, with `k`, `n` from `b`).
+///
+/// Serves any `m` in row blocks of at most `SKINNY_M` through
+/// [`skinny_accumulate`]'s panel loop, reading the strips instead of
+/// staging them. For every layout with [`PackedB::worth_packing`] the
+/// result is bit-identical to [`gemm_rowstable`] over the unpacked
+/// operand: that kernel runs the same microkernel chain per row (its
+/// serial, skinny, parallel and standard-nest variants are all pinned
+/// bit-identical per row), with the same `α` seeding, `β` blend and
+/// `KC` block order. Runs on the calling thread; A-panel scratch comes
+/// from the thread-local `PACK_SCRATCH`, so a warm call never allocates.
+///
+/// # Panics
+/// Panics if `a` or `c` is smaller than its dimensions imply, or
+/// `strips` is not exactly `b.len()` floats.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed(
+    ta: Transpose,
+    m: usize,
+    alpha: f32,
+    a: &[f32],
+    b: PackedB,
+    strips: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
+    let (n, k) = (b.n, b.k);
+    assert_eq!(strips.len(), b.len(), "packed buffer size mismatch");
+    check_dims(m, n, k, a, strips, c);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let c = &mut c[..m * n];
+    if k == 0 || alpha == 0.0 {
+        apply_beta(c, beta);
+        return;
+    }
+    PACK_SCRATCH.with(|cell| {
+        let (ap, _) = &mut *cell.borrow_mut();
+        let ap_len = m.min(SKINNY_M).div_ceil(MR) * MR * k;
+        if ap.len() < ap_len {
+            ap.resize(ap_len, 0.0);
+        }
+        for (blk, c_blk) in c.chunks_mut(SKINNY_M * n).enumerate() {
+            let (i0, mc0) = (blk * SKINNY_M, c_blk.len() / n);
+            let src = Packed(strips);
+            skinny_accumulate(ta, m, k, i0, mc0, 0, n, alpha, a, src, beta, c_blk, n, ap);
+        }
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Packing: normalize any (Transpose, layout) into the microkernel order.
 // ---------------------------------------------------------------------------
@@ -582,8 +778,9 @@ fn blocked_accumulate_with(
     // `ap` for it (always true via `blocked_accumulate`; band jobs and
     // tests reach here the same way).
     if use_skinny_nest(mc0, k) && ap.len() >= mc0.div_ceil(MR) * MR * k {
+        let strips = Staged { tb, b, n, bp };
         skinny_accumulate(
-            ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
+            ta, m, k, i0, mc0, j0, nc0, alpha, a, strips, beta, c, ldc, ap,
         );
         return;
     }
@@ -624,9 +821,59 @@ fn blocked_accumulate_with(
     }
 }
 
+/// Where the skinny nest's panel loop takes its `NR`-wide B strips from
+/// (a static choice, so each source compiles to its own loop nest).
+trait Strips {
+    /// The strips of `KC` block `pc..pc+kcb` for the `pw`-column panel
+    /// starting at column `jc0` of `op(B)`, and their stride in floats.
+    fn block(&mut self, k: usize, pc: usize, kcb: usize, jc0: usize, pw: usize) -> (&[f32], usize);
+}
+
+/// Stages each `(panel, KC block)` from `op(B)` (stored `k×n` for
+/// `Transpose::No`, `n×k` for `Transpose::Yes`) into `bp`, skew-padded
+/// `STRIP_SKEW` floats apart, just before its microkernels run.
+struct Staged<'a> {
+    tb: Transpose,
+    b: &'a [f32],
+    n: usize,
+    bp: &'a mut [f32],
+}
+
+impl Strips for Staged<'_> {
+    fn block(&mut self, k: usize, pc: usize, kcb: usize, jc0: usize, pw: usize) -> (&[f32], usize) {
+        let stride = kcb * NR + STRIP_SKEW;
+        // Row-major streaming reads; see `skinny_accumulate`.
+        if self.tb == Transpose::No {
+            stage_b_rows(self.b, self.n, pc, kcb, jc0, pw, stride, self.bp);
+        } else {
+            for t in 0..pw.div_ceil(NR) {
+                let jc = jc0 + t * NR;
+                let jn = NR.min(jc0 + pw - jc);
+                let dst = &mut self.bp[t * stride..][..kcb * NR];
+                pack_b(self.tb, self.b, k, self.n, pc, kcb, jc, jn, dst);
+            }
+        }
+        (self.bp, stride)
+    }
+}
+
+/// Reads the strips [`PackedB::pack`] laid out over the whole `k×n`
+/// operand (so the nest's window must be `j0 = 0`, `nc0 = n`).
+struct Packed<'a>(&'a [f32]);
+
+impl Strips for Packed<'_> {
+    fn block(&mut self, k: usize, pc: usize, kcb: usize, jc0: usize, pw: usize) -> (&[f32], usize) {
+        // Panel `jc0` starts `jc0·k` floats in (every earlier panel is
+        // SKINNY_NC wide), its block `pc` another `tiles·NR·pc` (the
+        // earlier blocks' `kcb` sum to `pc`).
+        let tiles = pw.div_ceil(NR);
+        (&self.0[jc0 * k + tiles * NR * pc..], kcb * NR)
+    }
+}
+
 /// The skinny-output nest: [`blocked_accumulate_with`] reorganized for
 /// `mc0 ≤ SKINNY_M`, `k > KC` (small-batch fully-connected layers, e.g.
-/// 32×4096×4096 `vgg_fc6`).
+/// 32×4096×4096 `vgg_fc6`), and the whole of [`gemm_packed`].
 ///
 /// The standard nest walks `pc` outermost, so every `KC` block rewrites
 /// the whole `mc0×nc0` output — for `k = 4096` that is 16 read-modify-
@@ -645,7 +892,8 @@ fn blocked_accumulate_with(
 /// per-tile strip copy instead walks B at an `n`-float row stride —
 /// 16 KiB for the fc layers, which maps every row to the same L1 set and
 /// degenerates to uncovered DRAM latency per 128-byte sliver (measured
-/// ~54 vs ~90+ GFLOP/s on 32×4096×4096).
+/// ~54 vs ~90+ GFLOP/s on 32×4096×4096). A [`Packed`] operand skips
+/// the staging: the same strips were laid out once, at load.
 ///
 /// Bit-identity with the standard nest: per output element the standard
 /// nest computes `((α·t₀ ⊕β) + α·t₁) + α·t₂ …` where `t_p` is the
@@ -655,13 +903,13 @@ fn blocked_accumulate_with(
 /// `α·t_p` in the same `pc` order, so every element sees the identical
 /// float operation sequence — only *where* the intermediate lives (stack
 /// tile vs C row) changes; the panel/staging reorganization interleaves
-/// *which tile* runs when, never the per-element chain order.
+/// *which tile* runs when, never the per-element chain order. The strip
+/// source changes neither: staged and packed strips hold the same
+/// values.
 #[allow(clippy::too_many_arguments)]
 fn skinny_accumulate(
     ta: Transpose,
-    tb: Transpose,
     m: usize,
-    n: usize,
     k: usize,
     i0: usize,
     mc0: usize,
@@ -669,12 +917,11 @@ fn skinny_accumulate(
     nc0: usize,
     alpha: f32,
     a: &[f32],
-    b: &[f32],
+    mut strips: impl Strips,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
     ap: &mut [f32],
-    bp: &mut [f32],
 ) {
     debug_assert!(mc0 <= SKINNY_M && mc0 > 0);
     let row_tiles = mc0.div_ceil(MR);
@@ -711,30 +958,9 @@ fn skinny_accumulate(
         let mut pc = 0;
         while pc < k {
             let kcb = KC.min(k - pc);
-            let stride = kcb * NR + STRIP_SKEW;
-            // Stage this KC block's panel of B into skewed strips first
-            // (row-major streaming reads; see the doc comment above).
-            if tb == Transpose::No {
-                stage_b_rows(b, n, pc, kcb, j0 + jp, pw, stride, bp);
-            } else {
-                for t in 0..tiles {
-                    let jc = j0 + jp + t * NR;
-                    let jn = NR.min(j0 + nc0 - jc);
-                    pack_b(
-                        tb,
-                        b,
-                        k,
-                        n,
-                        pc,
-                        kcb,
-                        jc,
-                        jn,
-                        &mut bp[t * stride..][..kcb * NR],
-                    );
-                }
-            }
+            let (panel, stride) = strips.block(k, pc, kcb, j0 + jp, pw);
             for t in 0..tiles {
-                let strip = &bp[t * stride..][..kcb * NR];
+                let strip = &panel[t * stride..][..kcb * NR];
                 let jc = j0 + jp + t * NR;
                 let jn = NR.min(j0 + nc0 - jc);
                 for it in 0..row_tiles {
@@ -1373,6 +1599,96 @@ mod tests {
             }));
             proptest::prop_assert_eq!(bits(&c_fast), bits(&c_ref));
         }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn packed_gemm_matches_rowstable_bitwise(
+            m in 1usize..81, ni in 0usize..4, dn in 0usize..3,
+            kb in 1usize..4, dk in 0usize..3,
+            ai in 0usize..4, bi in 0usize..2, ti in 0usize..4,
+        ) {
+            // m crosses MR and SKINNY_M (multi-block row splits); n
+            // crosses NR, one and two SKINNY_NC panels; k sits ±1 around
+            // a KC multiple, at least as deep as the per-row packing
+            // threshold needs (narrow n takes many KC blocks).
+            let n = [NR, SKINNY_NC, 2 * SKINNY_NC, 500][ni] + dn - 1;
+            let min_blocks = (SMALL_FLOPS as usize / 2).div_ceil(n) / KC + 1;
+            let k = kb.max(min_blocks) * KC + dk - 1;
+            let layout = PackedB::new(k, n);
+            proptest::prop_assume!(layout.worth_packing());
+            let alpha = [1.0f32, -0.75, 2.5, 0.0][ai];
+            let beta = [0.0f32, 0.5][bi];
+            let ta = [Transpose::No, Transpose::Yes][ti % 2];
+            let tb = [Transpose::No, Transpose::Yes][ti / 2];
+            let a = rand_vec(m * k, (m * k) as u64);
+            let b = rand_vec(k * n, (n + 7 * k) as u64);
+            let c0 = rand_vec(m * n, (m + n) as u64);
+            let mut strips = vec![f32::NAN; layout.len()];
+            layout.pack(tb, &b, &mut strips);
+            let mut c_packed = c0.clone();
+            gemm_packed(ta, m, alpha, &a, layout, &strips, beta, &mut c_packed);
+            let mut c_ref = c0;
+            gemm_rowstable(ta, tb, m, n, k, alpha, &a, &b, beta, &mut c_ref);
+            proptest::prop_assert_eq!(
+                bits(&c_packed),
+                bits(&c_ref),
+                "m={} n={} k={} alpha={} beta={} ta={:?} tb={:?}",
+                m, n, k, alpha, beta, ta, tb
+            );
+        }
+    }
+
+    #[test]
+    fn packed_operand_is_sized_exactly() {
+        // The served LeNet fc6 operand (Wᵀ, 800×500): 16 strips of 32
+        // columns over the full depth — the weights plus the last tile's
+        // 12 padding columns, nothing else.
+        let layout = PackedB::new(800, 500);
+        assert_eq!(layout.len(), 16 * NR * 800);
+        assert!(layout.worth_packing());
+        // fc8 (500→10) stays on the direct row loop.
+        assert!(!PackedB::new(500, 10).worth_packing());
+    }
+
+    #[test]
+    fn in_place_packing_matches_packing_from_a_copy() {
+        // n on and around SKINNY_NC multiples (no tail panel, a one-tile
+        // tail, a ragged tail) and k across KC blocks.
+        for &(k, n) in &[
+            (800, 500),
+            (KC, SKINNY_NC),
+            (KC + 1, 2 * SKINNY_NC + 1),
+            (3 * KC - 7, SKINNY_NC - 5),
+            (5, 2 * SKINNY_NC + NR),
+            (0, 300),
+        ] {
+            let layout = PackedB::new(k, n);
+            let w = rand_vec(k * n, (k + n) as u64);
+            let mut want = vec![f32::NAN; layout.len()];
+            layout.pack(Transpose::Yes, &w, &mut want);
+            let mut got = vec![f32::NAN; layout.len()];
+            got[..k * n].copy_from_slice(&w);
+            layout.pack_in_place(&mut got);
+            assert_eq!(bits(&got), bits(&want), "k={k} n={n}");
+        }
+    }
+
+    #[test]
+    fn warm_packed_gemm_reuses_the_pack_scratch() {
+        let (m, k, n) = (8, 800, 500);
+        let a = rand_vec(m * k, 4);
+        let layout = PackedB::new(k, n);
+        let mut strips = vec![0.0; layout.len()];
+        layout.pack(Transpose::Yes, &rand_vec(k * n, 5), &mut strips);
+        let mut c = vec![0.0; m * n];
+        let capacity = || PACK_SCRATCH.with(|cell| cell.borrow().0.capacity());
+        gemm_packed(Transpose::No, m, 1.0, &a, layout, &strips, 0.0, &mut c);
+        let warm = capacity();
+        for rows in [1, m, 3] {
+            gemm_packed(Transpose::No, rows, 1.0, &a, layout, &strips, 0.0, &mut c);
+        }
+        assert_eq!(capacity(), warm, "a warm packed GEMM grew its scratch");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   multiply with transpose variants (the workhorse of dense and
 //!   convolutional layers), fanned out over the persistent worker pool in
 //!   [`par`]; the seed kernel is retained as [`gemm_naive()`](gemm::gemm_naive)
-//!   for in-repo A/B measurement (see DESIGN.md §8).
+//!   for in-repo A/B measurement (see DESIGN.md §8); [`PackedB`] /
+//!   [`gemm_packed()`](gemm::gemm_packed) serve a weight operand staged
+//!   once (DESIGN.md §16.5).
 //! * [`im2col()`](im2col::im2col) / [`col2im()`](im2col::col2im) — the lowering used to express convolution as
 //!   GEMM, exactly as cuDNN-era frameworks did.
 //! * [`ParamArena`] — a *packed*, contiguous parameter buffer with named
@@ -44,7 +46,10 @@ pub use arena::{
     BufGrowth, InferScratch, ParamArena, ScratchPolicy, ScratchStats, Segment, TrainScratch,
 };
 pub use atomic::{AtomicBuffer, AtomicF32};
-pub use gemm::{gemm, gemm_naive, gemm_naive_par, gemm_rowstable, gemm_serial, matmul, Transpose};
+pub use gemm::{
+    gemm, gemm_naive, gemm_naive_par, gemm_packed, gemm_rowstable, gemm_serial, matmul, PackedB,
+    Transpose,
+};
 pub use im2col::{col2im, im2col, Conv2dGeometry};
 pub use ops::*;
 pub use rng::Rng;

@@ -36,7 +36,9 @@
 //!    `#[cfg(test)]`): `fn forward*` / `fn backward*` / `fn infer*` in
 //!    `crates/nn/src/`, and the serving request path in
 //!    `crates/serve/src/` (`fn submit*` / `close*` / `dispatch*` /
-//!    `recycle*` / `drain*` / `advance*` / `infer*` / `run_*`). The
+//!    `recycle*` / `drain*` / `advance*` / `infer*` / `run_*`), and the
+//!    prepacked serving GEMM in `crates/tensor/src/` (`fn gemm_packed*`
+//!    and the `fn skinny_*` panel loop it runs). The
 //!    training step and the steady-state serving path are
 //!    zero-allocation after warm-up (DESIGN.md §11, §16), so activation,
 //!    cache, and request buffers must be sized through the counted
@@ -370,6 +372,12 @@ const SERVE_STEP_FN_PREFIXES: &[&str] = &[
     "submit", "close", "dispatch", "recycle", "drain", "advance", "infer", "run_",
 ];
 
+/// Step hot-path function-name prefixes for `crates/tensor/src/`: the
+/// prepacked GEMM every served dense forward calls, and the skinny panel
+/// loop it shares with the training kernel (its A-panel scratch is the
+/// thread-local packing buffer, so a warm call never allocates).
+const TENSOR_STEP_FN_PREFIXES: &[&str] = &["gemm_packed", "skinny_"];
+
 /// True if `line` declares a function whose name starts with one of
 /// `prefixes` (the per-step hot-path naming convention).
 fn is_step_fn_decl(line: &str, prefixes: &[&str]) -> bool {
@@ -461,6 +469,8 @@ pub fn lint_source_with(
         step_fn_spans(&stripped_lines, NN_STEP_FN_PREFIXES)
     } else if file.starts_with("crates/serve/src/") {
         step_fn_spans(&stripped_lines, SERVE_STEP_FN_PREFIXES)
+    } else if file.starts_with("crates/tensor/src/") {
+        step_fn_spans(&stripped_lines, TENSOR_STEP_FN_PREFIXES)
     } else {
         Vec::new()
     };
@@ -1274,6 +1284,24 @@ mod tests {
         assert!(lint_source("crates/serve/src/session.rs", &src, false).is_empty());
         let src = format!("fn submit(&mut self) {{ let v = {}; }}", vec_new_call());
         assert!(lint_source("crates/nn/src/network.rs", &src, false).is_empty());
+    }
+
+    #[test]
+    fn step_alloc_covers_the_prepacked_serving_gemm() {
+        for name in ["gemm_packed", "skinny_accumulate"] {
+            let src = format!("fn {name}(c: &mut [f32]) {{ let v = c{}; }}", to_vec_call());
+            let f = lint_source("crates/tensor/src/gemm.rs", &src, true);
+            assert_eq!(f.len(), 1, "fn {name}: {f:?}");
+            assert_eq!(f[0].rule, "step-alloc");
+        }
+        // The rest of the tensor crate (the training `gemm`, packing
+        // at load) stays free to allocate.
+        let src = format!("fn gemm(c: &mut [f32]) {{ let v = c{}; }}", to_vec_call());
+        assert!(lint_source("crates/tensor/src/gemm.rs", &src, true).is_empty());
+        assert!(
+            super::is_hot_path("crates/tensor/src/gemm.rs"),
+            "the packed kernel must sit on a no-unwrap hot path"
+        );
     }
 
     #[test]
