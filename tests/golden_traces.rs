@@ -182,6 +182,27 @@ fn run_all() -> BTreeMap<String, RunResult> {
         let r = alg::sync_easgd_sim(&net, &train, &test, &cfg(4, 20), &costs, v, 5);
         put(&format!("sim_sync_{suffix}_w4"), r);
     }
+    // Full LeNet at batch 32: the one case whose conv layers clear
+    // `Conv2d`'s parallel-flops gate (`lenet_tiny` at batch 16 stays on
+    // the serial per-sample loop), so it pins the pool fan-out of both
+    // the conv forward and backward.
+    {
+        let (train, test) = SyntheticSpec::mnist().task(7).train_test(256, 64, 11);
+        let c = TrainConfig {
+            batch: 32,
+            ..cfg(4, 6)
+        };
+        let r = alg::sync_easgd_sim(
+            &lenet(23),
+            &train,
+            &test,
+            &c,
+            &costs,
+            SyncVariant::Easgd2,
+            3,
+        );
+        put("sim_sync_easgd2_lenet_b32_w4", r);
+    }
     {
         let c = cfg(2, 20);
         let shards = train.partition(2);
