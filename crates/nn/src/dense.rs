@@ -23,6 +23,8 @@ pub struct Dense {
     /// `cached` is false until one ran and after any eval forward.
     input_cache: Tensor,
     cached: bool,
+    /// Whether backward computes `∂L/∂input` ([`Layer::set_input_grad`]).
+    input_grad: bool,
     /// Set on a serving replica by [`Layer::prepack`]: the arena's
     /// weight segment then holds `Wᵀ` in this packed layout, which eval
     /// forwards read.
@@ -44,6 +46,7 @@ impl Dense {
             b_seg: usize::MAX,
             input_cache: Tensor::default(),
             cached: false,
+            input_grad: true,
             packed: None,
         }
     }
@@ -198,6 +201,9 @@ impl Layer for Dense {
                 easgd_tensor::ops::add_assign(gb, row);
             }
         }
+        if !self.input_grad {
+            return;
+        }
         // gradX[B,in] = gradY[B,out] · W[out,in]
         let w = params.segment(self.w_seg);
         scratch.shape_tensor(grad_in, input.shape().dims());
@@ -213,6 +219,10 @@ impl Layer for Dense {
             0.0,
             grad_in.as_mut_slice(),
         );
+    }
+
+    fn set_input_grad(&mut self, needed: bool) {
+        self.input_grad = needed;
     }
 
     fn prepack_plan(&self) -> Vec<(usize, usize)> {

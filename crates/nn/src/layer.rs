@@ -65,7 +65,8 @@ pub struct ParamSpec {
 ///   performs zero heap allocations (DESIGN.md §11).
 /// * [`backward_into`](Layer::backward_into) consumes `∂L/∂output`,
 ///   **accumulates** `∂L/∂params` into `grads` (callers zero the arena
-///   per step), and writes `∂L/∂input` into `grad_in`. It reads the
+///   per step), and writes `∂L/∂input` into `grad_in` (unless
+///   [`set_input_grad`](Layer::set_input_grad) said nobody reads it). It reads the
 ///   caches of the last **train-mode** forward: an eval forward may skip
 ///   caches only backward reads (`Dense`, `MaxPool2d` do), after which
 ///   backward panics rather than read a stale cache.
@@ -154,6 +155,14 @@ pub trait Layer: Send + Sync {
         *grad_in = self.backward(params, grads, grad_out);
         scratch.note_external_alloc();
     }
+
+    /// Tells the layer whether its caller reads `∂L/∂input`. A
+    /// `Network` clears it on its first layer, whose input gradient
+    /// nobody consumes; `backward_into` may then skip that work and leave
+    /// `grad_in` untouched while still accumulating parameter gradients
+    /// exactly as before. Layers start out computing it. Default: ignored
+    /// (the layer always computes `grad_in`).
+    fn set_input_grad(&mut self, _needed: bool) {}
 
     /// Eval-only weight prepacking for a gradient-stripped serving
     /// replica (DESIGN.md §16.5): the parameter segments this layer's

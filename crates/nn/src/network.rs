@@ -241,6 +241,11 @@ impl NetworkBuilder {
             }
             layer.bind(segs);
         }
+        // Nothing reads the input gradient of the first layer (DESIGN.md
+        // §17.3); clones carry the flag with the layer's configuration.
+        if let Some(first) = layers.first_mut() {
+            first.set_input_grad(false);
+        }
         let grads = ParamArena::like(&params);
         let batch_dims = std::iter::once(0)
             .chain(self.input_shape.iter().copied())
@@ -846,6 +851,37 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn first_layer_skip_keeps_step_gradients_bitwise() {
+        // Full LeNet at batch 32, whose convs fan out over the pool, and
+        // an MLP whose first layer is dense.
+        let lenet = crate::models::lenet(5);
+        let mlp = NetworkBuilder::new([20]).dense(16).relu().dense(4).build(5);
+        for (mut skip, classes) in [(lenet, 10), (mlp, 4)] {
+            let mut full = skip.clone();
+            full.layers[0].set_input_grad(true);
+            let mut shape = vec![32];
+            shape.extend_from_slice(skip.input_shape());
+            let mut x = Tensor::zeros(shape);
+            Rng::new(6).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+            let labels: Vec<usize> = (0..32).map(|i| i % classes).collect();
+            for step in 0..3 {
+                let a = skip.forward_backward(&x, &labels);
+                let b = full.forward_backward(&x, &labels);
+                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "step {step}");
+                assert_eq!(
+                    bits(skip.grads().as_slice()),
+                    bits(full.grads().as_slice()),
+                    "step {step}: gradients differ"
+                );
+                for net in [&mut skip, &mut full] {
+                    let g = net.grads().as_slice().to_vec();
+                    easgd_tensor::ops::sgd_update(0.05, net.params_mut().as_mut_slice(), &g);
+                }
+            }
+        }
     }
 
     #[test]

