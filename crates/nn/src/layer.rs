@@ -66,10 +66,11 @@ pub struct ParamSpec {
 /// * [`backward_into`](Layer::backward_into) consumes `∂L/∂output`,
 ///   **accumulates** `∂L/∂params` into `grads` (callers zero the arena
 ///   per step), and writes `∂L/∂input` into `grad_in` (unless
-///   [`set_input_grad`](Layer::set_input_grad) said nobody reads it). It reads the
-///   caches of the last **train-mode** forward: an eval forward may skip
-///   caches only backward reads (`Dense`, `MaxPool2d` do), after which
-///   backward panics rather than read a stale cache.
+///   [`set_input_grad`](Layer::set_input_grad) said nobody reads
+///   it). It reads the caches of the last **train-mode** forward: an
+///   eval forward may skip caches only backward reads (`Dense`,
+///   `MaxPool2d` do), after which backward panics rather than read a
+///   stale cache.
 /// * [`forward`](Layer::forward) / [`backward`](Layer::backward) are the
 ///   original allocating forms, now provided as shims over the `_into`
 ///   kernels (mirroring the PR 4 `_into` collectives). The defaults are
