@@ -20,16 +20,18 @@
 //!   of a small-batch step) switch to a column-major nest that keeps the
 //!   register tiles live across every `KC` block, touching C once
 //!   instead of `k/KC` times (the `vgg_fc6` cliff fix, DESIGN.md §15).
-//! * **blocked parallel** — the same kernel fanned out over the
-//!   persistent [`crate::par::pool()`]: the operands are copied into
-//!   `Arc`-shared buffers, each worker runs the serial loop nest on an
-//!   owned output band (seeded with its C window so `β` blends exactly
-//!   as in the serial kernel), and the caller copies bands back — the
-//!   result is bit-identical to `gemm_serial`. The copies are
-//!   O(m·k + k·n + m·n) against O(m·n·k) compute, the price of lending
-//!   data to persistent threads in safe Rust. Outputs are banded along
-//!   their *larger* dimension, so skinny-M layers split over N rather
-//!   than serializing on one row band.
+//! * **blocked parallel** — the same kernel fanned out over
+//!   `MR`/`NR`-aligned bands of the output's *larger* dimension (so
+//!   skinny-M layers split over N rather than serializing on one row
+//!   band), each band running the serial loop nest with the real `β`,
+//!   so the result is bit-identical to `gemm_serial`. Calls with fewer
+//!   than 4 flops per byte an operand copy would move — every GEMM of a
+//!   small-batch step over a wide layer — run on *borrowed* bands:
+//!   scoped helper threads read op(A)/op(B) in place and write row
+//!   bands of C directly (column bands through a recycled staging
+//!   window). Compute-bound calls run as owned jobs on the
+//!   persistent [`crate::par::pool()`], over `Arc`-shared operand
+//!   copies, sparing each call a thread start (DESIGN.md §8.2).
 //!
 //! A weight operand reused across many calls can be staged once into the
 //! skinny nest's strip layout ([`PackedB`]); [`gemm_packed`] then runs
@@ -65,9 +67,9 @@ const NC: usize = 2048;
 /// Below this many flops (`2·m·n·k`) the direct row loop wins: packing
 /// would touch more memory than the multiply itself.
 const SMALL_FLOPS: u64 = 1 << 17;
-/// Below this many flops parallel dispatch (pool wake + operand copies)
-/// costs more than it saves. Applied uniformly to every transpose
-/// combination — the old `m·n` element threshold misjudged tall-skinny
+/// Below this many flops parallel dispatch (a pool wake plus operand
+/// copies, or a ~40 µs scoped thread start per extra band) costs more
+/// than it saves. Applied uniformly to every transpose combination — the old `m·n` element threshold misjudged tall-skinny
 /// and wide-flat shapes (an `m×1` weight-gradient GEMM has `m` output
 /// elements but `2·m·k` flops).
 const PAR_FLOPS: u64 = 8 << 20;
@@ -206,33 +208,12 @@ pub fn gemm(
         apply_beta(c, beta);
         return;
     }
-    let flops = gemm_flops(m, n, k);
-    if flops < SMALL_FLOPS {
+    if gemm_flops(m, n, k) < SMALL_FLOPS {
         apply_beta(c, beta);
         naive_rows(ta, tb, m, n, k, alpha, a, b, c);
         return;
     }
-    // Only touch the global pool past the parallel threshold: fetching
-    // it eagerly would spawn ncores−1 persistent threads in processes
-    // that only ever run serial-path GEMMs. A chip-partition group
-    // (`par::with_pool`) substitutes its own pool — and with a
-    // single-thread group the GEMM must stay serial *without* waking the
-    // global pool, or partitions would share threads they don't own.
-    if flops >= PAR_FLOPS {
-        if let Some(pool) = par::pool_override() {
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(&pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        } else {
-            let pool = par::pool();
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        }
-    }
-    blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
+    blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
 }
 
 /// `C ← α·op(A)·op(B) + β·C` with the kernel chosen by **per-row** work
@@ -283,24 +264,10 @@ pub fn gemm_rowstable(
         naive_rows(ta, tb, m, n, k, alpha, a, b, c);
         return;
     }
-    // Same pool engagement as `gemm` (total-flops keyed): the parallel
-    // path is bit-identical to the serial one, so this m-dependence
-    // cannot change bits.
-    if gemm_flops(m, n, k) >= PAR_FLOPS {
-        if let Some(pool) = par::pool_override() {
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(&pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        } else {
-            let pool = par::pool();
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        }
-    }
-    blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
+    // Same fan-out as `gemm` (total-flops keyed): the parallel path is
+    // bit-identical to the serial one, so this m-dependence cannot change
+    // bits.
+    blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
 }
 
 /// The blocked kernel forced onto the calling thread (no pool), for
@@ -720,30 +687,41 @@ fn blocked_accumulate(
     // zero-padded explicitly), so dirty reuse is safe.
     PACK_SCRATCH.with(|cell| {
         let (ap, bp) = &mut *cell.borrow_mut();
-        // The skinny nest packs *all* of op(A)'s K extent up front (the
-        // whole row block is at most SKINNY_M·k floats — e.g. 512 KiB for
-        // the 32×4096×4096 fc layer); the standard nest packs one MC×KC
-        // block at a time.
-        let ap_len = if use_skinny_nest(mc0, k) {
-            mc0.div_ceil(MR) * MR * k
-        } else {
-            MC * KC
-        };
-        if ap.len() < ap_len {
-            ap.resize(ap_len, 0.0);
-        }
-        let bp_cols = NC.min(nc0.next_multiple_of(NR));
-        // The skinny nest's staged strips carry a `STRIP_SKEW` pad each,
-        // so its panel needs slightly more than `KC·panel_cols` floats.
-        let skinny_tiles = nc0.div_ceil(NR).min(SKINNY_NC / NR);
-        let bp_len = (KC * bp_cols).max(skinny_tiles * (KC * NR + STRIP_SKEW));
-        if bp.len() < bp_len {
-            bp.resize(bp_len, 0.0);
-        }
+        let (ap_len, bp_len) = pack_lens(mc0, nc0, k);
+        grow(ap, ap_len);
+        grow(bp, bp_len);
         blocked_accumulate_with(
             ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
         );
     });
+}
+
+/// Floats of (A-panel, B-panel) packing scratch the loop nest needs for
+/// an `mc0×nc0` output window with inner dimension `k`.
+fn pack_lens(mc0: usize, nc0: usize, k: usize) -> (usize, usize) {
+    // The skinny nest packs *all* of op(A)'s K extent up front (the
+    // whole row block is at most SKINNY_M·k floats — e.g. 512 KiB for
+    // the 32×4096×4096 fc layer); the standard nest packs one MC×KC
+    // block at a time.
+    let ap_len = if use_skinny_nest(mc0, k) {
+        mc0.div_ceil(MR) * MR * k
+    } else {
+        MC * KC
+    };
+    let bp_cols = NC.min(nc0.next_multiple_of(NR));
+    // The skinny nest's staged strips carry a `STRIP_SKEW` pad each,
+    // so its panel needs slightly more than `KC·panel_cols` floats.
+    let skinny_tiles = nc0.div_ceil(NR).min(SKINNY_NC / NR);
+    let bp_len = (KC * bp_cols).max(skinny_tiles * (KC * NR + STRIP_SKEW));
+    (ap_len, bp_len)
+}
+
+/// Grows `buf` to at least `len` floats (monotone scratch: dirty reuse is
+/// safe because every consumer overwrites what it reads).
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
 }
 
 thread_local! {
@@ -1043,13 +1021,83 @@ fn stage_b_rows(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel dispatch over the persistent pool.
+// Parallel dispatch: borrowed bands on scoped threads.
 // ---------------------------------------------------------------------------
 
-/// Fans the blocked kernel out over `pool`: the output is split into
-/// `MR`/`NR`-aligned bands along its larger dimension, each worker
-/// computes an owned band from `Arc`-shared operand copies, and the
-/// caller copies the finished bands back into `c`.
+/// The blocked kernel for one call past the tiny tier: serial below
+/// `PAR_FLOPS`; from there fanned out over the calling thread's compute
+/// threads — on borrowed bands if the call is [`copy_bound`], else as
+/// owned jobs on the persistent pool (the override installed by
+/// [`par::with_pool`], or the global one). Two cases stay serial
+/// whatever the size: a call made inside a pool job (the enclosing
+/// fan-out already owns every core, DESIGN.md §17) and a call under a
+/// one-thread pool override (a chip-partition group or a served replica
+/// that owns one core) — neither wakes nor spawns a thread.
+#[allow(clippy::too_many_arguments)]
+fn blocked_dispatch(
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
+    if gemm_flops(m, n, k) >= PAR_FLOPS && !par::in_pool_job() {
+        if copy_bound(m, n, k) {
+            let threads = par::current_threads();
+            if threads > 1 {
+                gemm_blocked_parallel(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
+                return;
+            }
+        } else if let Some(pool) = par::pool_override() {
+            if pool.threads() > 1 {
+                gemm_pool_jobs(&pool, ta, tb, m, n, k, alpha, a, b, beta, c);
+                return;
+            }
+        } else {
+            // The global pool is fetched only here: fetching it eagerly
+            // would spawn ncores−1 persistent threads in processes that
+            // only ever run serial-path GEMMs.
+            let pool = par::pool();
+            if pool.threads() > 1 {
+                gemm_pool_jobs(pool, ta, tb, m, n, k, alpha, a, b, beta, c);
+                return;
+            }
+        }
+    }
+    blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
+}
+
+/// Flops per byte of operand copying below which a GEMM is *copy-bound*
+/// on the owned-job path: the kernel runs at ~80 GFLOP/s per core and a
+/// copy at ~20 GB/s on the reference host, so under 4 flop/B the copies
+/// [`gemm_pool_jobs`] makes cost more than the multiply itself
+/// (DESIGN.md §8.2).
+const OWNED_MIN_FLOPS_PER_BYTE: u64 = 4;
+
+/// Whether a parallel call should fan out over borrowed bands
+/// ([`gemm_blocked_parallel`]) rather than owned pool jobs: true when
+/// the bytes the owned path would copy — op(A) and op(B) into shared
+/// buffers, every C band filled and copied back — buy fewer than
+/// [`OWNED_MIN_FLOPS_PER_BYTE`] flops each. Every GEMM of a skinny
+/// training step (an `m` or `k` of a few samples against a square
+/// weight) is; square and batch-32 LeNet shapes are not, and keep the
+/// persistent pool, whose parked workers cost no thread start per call.
+fn copy_bound(m: usize, n: usize, k: usize) -> bool {
+    let copied_bytes = 4 * (m * k + k * n + 2 * m * n) as u64;
+    gemm_flops(m, n, k) < OWNED_MIN_FLOPS_PER_BYTE * copied_bytes
+}
+
+/// The compute-bound fan-out: the blocked kernel over the persistent
+/// `pool`, with owned jobs. The output is split into `MR`/`NR`-aligned
+/// bands along its larger dimension, each worker computes an owned band
+/// from `Arc`-shared operand copies, and the caller copies the finished
+/// bands back into `c` — `O(m·k + k·n + m·n)` copies, which only calls
+/// past [`copy_bound`] amortize.
 ///
 /// Each band buffer is seeded with its window of the incoming C and run
 /// through [`blocked_accumulate`] with the *real* `β`, so the band job
@@ -1058,11 +1106,9 @@ fn stage_b_rows(
 /// same `pc` order; bands start on `MR`/`NR` multiples, so register
 /// tiles group the same rows/columns as the serial nest). Every output
 /// element is owned by exactly one band, making the result bit-identical
-/// to the serial kernel — and hence across runs and worker counts (the
-/// Sync-EASGD determinism property extends down through the compute
-/// kernel).
+/// to the serial kernel.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_blocked_parallel(
+fn gemm_pool_jobs(
     pool: &par::WorkerPool,
     ta: Transpose,
     tb: Transpose,
@@ -1141,6 +1187,182 @@ pub(crate) fn gemm_blocked_parallel(
             }
         }
     }
+}
+
+/// Per-thread scratch of [`gemm_blocked_parallel`], owned by the calling
+/// thread: every band's (A-panel, B-panel) packing pair, and the staged
+/// output windows of a column split. Grows monotonically, so a warm call
+/// touches the allocator zero times — and the helper threads never do.
+struct BandScratch {
+    panels: Vec<(Vec<f32>, Vec<f32>)>,
+    stage: Vec<f32>,
+}
+
+thread_local! {
+    static BAND_SCRATCH: std::cell::RefCell<BandScratch> =
+        const { std::cell::RefCell::new(BandScratch { panels: Vec::new(), stage: Vec::new() }) };
+}
+
+/// Floats of band scratch the calling thread holds (test hook for the
+/// warm-call growth check).
+#[cfg(test)]
+fn band_scratch_floats() -> usize {
+    BAND_SCRATCH.with(|cell| {
+        let s = cell.borrow();
+        s.stage.capacity()
+            + s.panels
+                .iter()
+                .map(|(ap, bp)| ap.capacity() + bp.capacity())
+                .sum::<usize>()
+    })
+}
+
+/// Fans the blocked kernel out over `threads` threads with *borrowed*
+/// operands: the output is split into at most `threads` `MR`/`NR`-aligned
+/// bands along its larger dimension; band 0 runs on the calling thread
+/// and every other band on a `std::thread::scope` helper. Each band
+/// reads op(A)/op(B) in place. Row bands are disjoint row ranges of C
+/// and are written in place; column bands (an output wider than tall)
+/// are interleaved in memory, so each computes into its staged window of
+/// [`BandScratch`] (seeded from C when `β ≠ 0`) and the caller copies
+/// the windows back — `m·n` floats against `2·m·n·k` flops.
+///
+/// Every band runs [`blocked_accumulate_with`] with the real `β`, so it
+/// performs the exact per-element operation sequence of [`gemm_serial`]
+/// (β blended into the first `KC` pass, later passes accumulated in the
+/// same `pc` order; bands start on `MR`/`NR` multiples, so register
+/// tiles group the same rows/columns as the serial nest). Every output
+/// element is owned by exactly one band, making the result bit-identical
+/// to the serial kernel — and hence across runs and thread counts (the
+/// Sync-EASGD determinism property extends down through the compute
+/// kernel).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_blocked_parallel(
+    threads: usize,
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
+    let c = &mut c[..m * n];
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 || alpha == 0.0 {
+        apply_beta(c, beta);
+        return;
+    }
+    let split_rows = m >= n;
+    let (len, tile) = if split_rows { (m, MR) } else { (n, NR) };
+    let band_len = len
+        .div_ceil(threads.clamp(1, len.div_ceil(tile)))
+        .next_multiple_of(tile);
+    let bands = len.div_ceil(band_len);
+    // Band `i`'s output window `(i0, mc0, j0, nc0)`.
+    let window = |i: usize| {
+        let start = i * band_len;
+        let this = band_len.min(len - start);
+        if split_rows {
+            (start, this, 0, n)
+        } else {
+            (0, m, start, this)
+        }
+    };
+    BAND_SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        let BandScratch { panels, stage } = scratch;
+        // Size everything on the calling thread, before any helper
+        // starts: the helpers only read and write borrowed memory.
+        if panels.len() < bands {
+            panels.resize_with(bands, Default::default);
+        }
+        for (i, (ap, bp)) in panels.iter_mut().take(bands).enumerate() {
+            let (_, mc0, _, nc0) = window(i);
+            let (ap_len, bp_len) = pack_lens(mc0, nc0, k);
+            grow(ap, ap_len);
+            grow(bp, bp_len);
+        }
+        let band = |i: usize, out: &mut [f32], ldc: usize, (ap, bp): &mut (Vec<f32>, Vec<f32>)| {
+            let (i0, mc0, j0, nc0) = window(i);
+            let (ap_len, bp_len) = pack_lens(mc0, nc0, k);
+            blocked_accumulate_with(
+                ta,
+                tb,
+                m,
+                n,
+                k,
+                i0,
+                mc0,
+                j0,
+                nc0,
+                alpha,
+                a,
+                b,
+                beta,
+                out,
+                ldc,
+                &mut ap[..ap_len],
+                &mut bp[..bp_len],
+            );
+        };
+        if split_rows {
+            fan_out_bands(c.chunks_mut(band_len * n), panels, |i, out, p| {
+                band(i, out, n, p)
+            });
+            return;
+        }
+        grow(stage, m * n);
+        let stage = &mut stage[..m * n];
+        let c_in: &[f32] = c;
+        fan_out_bands(stage.chunks_mut(m * band_len), panels, |i, out, p| {
+            let (_, _, j0, nc0) = window(i);
+            // Seed the window with the incoming C so the band blends the
+            // real β exactly as the serial kernel does; with β = 0 the
+            // first KC pass stores without reading, so the seed is
+            // skipped.
+            if beta != 0.0 {
+                for (r, row) in out.chunks_exact_mut(nc0).enumerate() {
+                    row.copy_from_slice(&c_in[r * n + j0..][..nc0]);
+                }
+            }
+            band(i, out, nc0, p)
+        });
+        for (i, win) in stage.chunks(m * band_len).enumerate() {
+            let (_, _, j0, nc0) = window(i);
+            for (r, row) in win.chunks_exact(nc0).enumerate() {
+                c[r * n + j0..][..nc0].copy_from_slice(row);
+            }
+        }
+    });
+}
+
+/// Runs `band(i, out_i, panels_i)` for every output window of `outs`:
+/// band 0 on the calling thread, the rest on scoped helper threads that
+/// borrow their window and packing pair for the duration of the call.
+fn fan_out_bands<'a, F>(
+    outs: impl Iterator<Item = &'a mut [f32]>,
+    panels: &mut [(Vec<f32>, Vec<f32>)],
+    band: F,
+) where
+    F: Fn(usize, &mut [f32], &mut (Vec<f32>, Vec<f32>)) + Sync,
+{
+    std::thread::scope(|s| {
+        let band = &band;
+        let mut jobs = outs.zip(panels.iter_mut()).enumerate();
+        let first = jobs.next();
+        for (i, (out, p)) in jobs {
+            s.spawn(move || band(i, out, p));
+        }
+        if let Some((i, (out, p))) = first {
+            band(i, out, p);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1693,54 +1915,162 @@ mod tests {
 
     #[test]
     fn parallel_path_is_bit_identical_to_serial() {
-        // Forced through a local pool regardless of host core count.
-        // Shapes cross the KC boundary (k > 256) with β ≠ 0 — the case
-        // where a pre-scale-then-add scheme would associate the β·C term
+        // Forced band splits regardless of host core count. Shapes cross
+        // the KC boundary (k > 256) with β ≠ 0 — the case where a
+        // pre-scale-then-add scheme would associate the β·C term
         // differently from the serial kernel — plus row- and column-split
-        // bands and a k = 0 degenerate.
+        // bands with ragged last bands and a k = 0 degenerate.
+        for threads in 1..=4 {
+            for &(m, n, k) in &[
+                (96, 96, 33),
+                (257, 19, 130),
+                (19, 257, 130),
+                (257, 257, 257),
+                (70, 300, KC + 9),
+                (32, 600, 300), // skinny nest inside N-split bands
+                (40, 40, 0),
+            ] {
+                let a = rand_vec(m * k, 6);
+                let b = rand_vec(k * n, 7);
+                let mut c_par = rand_vec(m * n, 8);
+                let mut c_ser = c_par.clone();
+                let (ta, tb) = (Transpose::No, Transpose::No);
+                gemm_blocked_parallel(threads, ta, tb, m, n, k, 2.0, &a, &b, 0.5, &mut c_par);
+                gemm_serial(ta, tb, m, n, k, 2.0, &a, &b, 0.5, &mut c_ser);
+                assert_eq!(bits(&c_par), bits(&c_ser), "t={threads} m={m} n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_bands_match_serial_on_skinny_training_shapes() {
+        // The wide MLP's hidden-layer GEMMs at batch 4 (forward with the
+        // weight transposed and not, and the β = 1 weight gradient), a
+        // column split narrower than threads·MR rows, and a row split
+        // whose last band is ragged — each at 1–4 threads, bitwise
+        // against the serial kernel.
+        let cases: &[(Transpose, Transpose, usize, usize, usize, f32)] = &[
+            (Transpose::No, Transpose::Yes, 4, 2048, 2048, 0.0),
+            (Transpose::No, Transpose::No, 4, 2048, 2048, 0.0),
+            (Transpose::Yes, Transpose::No, 2048, 2048, 4, 1.0),
+            (Transpose::No, Transpose::Yes, 5, 300, 400, 0.5),
+            (Transpose::Yes, Transpose::Yes, 203, 61, 97, 0.5),
+        ];
+        for &(ta, tb, m, n, k, beta) in cases {
+            let a = rand_vec(m * k, 80);
+            let b = rand_vec(k * n, 81);
+            let c0 = rand_vec(m * n, 82);
+            let mut want = c0.clone();
+            gemm_serial(ta, tb, m, n, k, 1.0, &a, &b, beta, &mut want);
+            for threads in 1..=4 {
+                let mut got = c0.clone();
+                gemm_blocked_parallel(threads, ta, tb, m, n, k, 1.0, &a, &b, beta, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{ta:?}/{tb:?} {m}x{n}x{k} beta={beta} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn owned_pool_jobs_are_bit_identical_to_serial() {
+        // The compute-bound fan-out over a local pool, whatever the host
+        // core count: row and column bands, β ≠ 0 across the KC boundary.
         let pool = par::WorkerPool::new(3);
         for &(m, n, k) in &[
-            (96, 96, 33),
             (257, 19, 130),
             (19, 257, 130),
-            (257, 257, 257),
             (70, 300, KC + 9),
-            (32, 600, 300), // skinny nest inside N-split band jobs
             (40, 40, 0),
         ] {
             let a = rand_vec(m * k, 6);
             let b = rand_vec(k * n, 7);
             let mut c_par = rand_vec(m * n, 8);
             let mut c_ser = c_par.clone();
-            gemm_blocked_parallel(
-                &pool,
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                2.0,
-                &a,
-                &b,
-                0.5,
-                &mut c_par,
-            );
-            gemm_serial(
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                2.0,
-                &a,
-                &b,
-                0.5,
-                &mut c_ser,
-            );
-            let bits_par: Vec<u32> = c_par.iter().map(|v| v.to_bits()).collect();
-            let bits_ser: Vec<u32> = c_ser.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits_par, bits_ser, "m={m} n={n} k={k}");
+            let (ta, tb) = (Transpose::No, Transpose::Yes);
+            gemm_pool_jobs(&pool, ta, tb, m, n, k, 2.0, &a, &b, 0.5, &mut c_par);
+            gemm_serial(ta, tb, m, n, k, 2.0, &a, &b, 0.5, &mut c_ser);
+            assert_eq!(bits(&c_par), bits(&c_ser), "m={m} n={n} k={k}");
         }
+    }
+
+    #[test]
+    fn copy_bound_splits_skinny_steps_from_compute_bound_calls() {
+        // The wide MLP's batch-4 GEMMs (forward, input gradient, β = 1
+        // weight gradient) take the borrowed bands; LeNet's batch-32 fc6
+        // calls and a square 512³ stay on the owned pool.
+        for (m, n, k) in [
+            (4, 2048, 2048),
+            (2048, 2048, 4),
+            (4, 2048, 784),
+            (2048, 784, 4),
+        ] {
+            assert!(copy_bound(m, n, k), "{m}x{n}x{k}");
+        }
+        for (m, n, k) in [
+            (32, 500, 800),
+            (500, 800, 32),
+            (32, 800, 500),
+            (512, 512, 512),
+        ] {
+            assert!(!copy_bound(m, n, k), "{m}x{n}x{k}");
+        }
+    }
+
+    #[test]
+    fn gemm_inside_a_pool_job_runs_serially_with_the_same_bits() {
+        // A GEMM past PAR_FLOPS issued from a pool job (the conv
+        // fan-out's per-sample calls) must not spawn band threads — the
+        // enclosing fan-out owns the cores — and must keep the bits.
+        let (m, n, k) = (4, 2048, 1024);
+        assert!(gemm_flops(m, n, k) >= PAR_FLOPS);
+        let a = std::sync::Arc::new(rand_vec(m * k, 90));
+        let b = std::sync::Arc::new(rand_vec(k * n, 91));
+        let mut want = vec![0.0; m * n];
+        gemm_serial(
+            Transpose::No,
+            Transpose::No,
+            m,
+            n,
+            k,
+            1.0,
+            &a,
+            &b,
+            0.0,
+            &mut want,
+        );
+        let pool = par::WorkerPool::new(1);
+        let jobs: Vec<_> = (0..2)
+            .map(|_| {
+                let (a, b) = (a.clone(), b.clone());
+                move || {
+                    assert!(par::in_pool_job());
+                    let mut c = vec![0.0; m * n];
+                    let before = band_scratch_floats();
+                    gemm(
+                        Transpose::No,
+                        Transpose::No,
+                        m,
+                        n,
+                        k,
+                        1.0,
+                        &a,
+                        &b,
+                        0.0,
+                        &mut c,
+                    );
+                    // The serial path never touches the band scratch.
+                    (c, band_scratch_floats() - before)
+                }
+            })
+            .collect();
+        for (c, grown) in pool.run(jobs) {
+            assert_eq!(bits(&c), bits(&want));
+            assert_eq!(grown, 0, "a GEMM inside a pool job fanned out");
+        }
+        assert!(!par::in_pool_job(), "the submitter's job flag must reset");
     }
 
     #[test]
@@ -1815,10 +2145,9 @@ mod tests {
 
     #[test]
     fn parallel_path_is_bit_deterministic() {
-        // Two runs through the pool must agree bit-for-bit: every output
-        // element is computed by exactly one job in a fixed loop order,
-        // so scheduling cannot perturb float summation order.
-        let pool = par::WorkerPool::new(4);
+        // Two runs over the same bands must agree bit-for-bit: every
+        // output element is computed by exactly one band in a fixed loop
+        // order, so scheduling cannot perturb float summation order.
         let (m, n, k) = (203, 111, 97);
         let a = rand_vec(m * k, 40);
         let b = rand_vec(k * n, 41);
@@ -1826,7 +2155,7 @@ mod tests {
         let mut c2 = vec![0.0; m * n];
         for c in [&mut c1, &mut c2] {
             gemm_blocked_parallel(
-                &pool,
+                4,
                 Transpose::Yes,
                 Transpose::No,
                 m,
@@ -1839,47 +2168,46 @@ mod tests {
                 c,
             );
         }
-        let bits1: Vec<u32> = c1.iter().map(|v| v.to_bits()).collect();
-        let bits2: Vec<u32> = c2.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits1, bits2);
+        assert_eq!(bits(&c1), bits(&c2));
     }
 
     #[test]
-    fn repeated_gemm_calls_spawn_no_new_pool_threads() {
-        // The global pool is created at most once per process; repeated
-        // large GEMMs must reuse its parked workers.
-        let (m, n, k) = (160, 160, 160);
-        let a = rand_vec(m * k, 50);
-        let b = rand_vec(k * n, 51);
-        let mut c = vec![0.0; m * n];
-        gemm(
-            Transpose::No,
-            Transpose::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            &b,
-            0.0,
-            &mut c,
-        );
-        let baseline = par::pool().threads_spawned();
-        assert_eq!(baseline, par::pool().threads() - 1);
-        for _ in 0..10 {
-            gemm(
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.0,
-                &a,
-                &b,
-                0.0,
-                &mut c,
+    fn warm_parallel_calls_grow_no_band_scratch() {
+        // After one call per shape the band scratch (packing pairs and
+        // column-split staging) is sized; repeating the calls must not
+        // grow it — the parallel GEMM of a warm training step touches the
+        // allocator zero times.
+        let shapes = [(4, 2048, 300), (300, 200, 160), (160, 160, 160)];
+        let run = || {
+            for &(m, n, k) in &shapes {
+                let a = vec![0.5; m * k];
+                let b = vec![0.25; k * n];
+                let mut c = vec![1.0; m * n];
+                gemm_blocked_parallel(
+                    3,
+                    Transpose::No,
+                    Transpose::No,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    &a,
+                    &b,
+                    1.0,
+                    &mut c,
+                );
+            }
+        };
+        run();
+        let warm = band_scratch_floats();
+        assert!(warm > 0);
+        for _ in 0..3 {
+            run();
+            assert_eq!(
+                band_scratch_floats(),
+                warm,
+                "a warm parallel GEMM grew its scratch"
             );
-            assert_eq!(par::pool().threads_spawned(), baseline);
         }
     }
 

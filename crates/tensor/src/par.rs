@@ -6,31 +6,42 @@
 //!
 //! * [`WorkerPool`] — a **persistent** pool of parked worker threads,
 //!   lazily spawned once per process ([`pool()`]). Jobs are owned
-//!   (`'static`) closures, so the blocked GEMM hands workers `Arc`-shared
-//!   packed panels and receives owned output tiles back. This replaces
-//!   the old thread-spawn-per-call fork-join for the compute-bound hot
-//!   path: dispatch to a parked worker costs a condvar wake (~µs), not a
-//!   thread spawn (~tens of µs).
-//! * [`par_chunks_mut`] / [`par_zip_mut`] / [`par_zip2_mut`] — scoped
-//!   band-split helpers for *borrowed* memory-bound kernels (the BLAS-1
-//!   elastic updates). Safe Rust cannot lend a non-`'static` borrow to a
-//!   persistent thread, and copying operands in and out would double the
-//!   memory traffic of an O(n) kernel — exactly the cost it exists to
-//!   avoid — so these spawn scoped threads per call and are gated behind
-//!   a large-slice threshold where the spawn cost is noise (see
-//!   DESIGN.md §8).
+//!   (`'static`) closures; dispatch to a parked worker costs a condvar
+//!   wake (~µs), not a thread start. The compute-bound GEMMs (square
+//!   shapes, LeNet's batch-32 dense layers) and the conv fan-out run
+//!   here, handing workers `Arc`-shared operand copies and receiving
+//!   owned output bands back.
+//! * `std::thread::scope` fan-outs over *borrowed* memory: the skinny
+//!   GEMMs' band split (`gemm::gemm_blocked_parallel`) and
+//!   [`par_chunks_mut`] / [`par_zip_mut`] / [`par_zip2_mut`] for the
+//!   BLAS-1 elastic updates. These start their helper threads per call
+//!   and are gated behind thresholds where that cost is noise.
 //! * [`par_rows`] — the original row-band fork-join, kept as a
 //!   compatibility shim for the retained `gemm_naive` baseline.
 //!
-//! ## Why owned jobs (and not a scoped pool)
+//! ## Owned jobs or borrowed bands
 //!
 //! A pool that runs borrowed closures on persistent threads requires
 //! erasing the closure lifetime — that is `unsafe` (it is how Rayon and
-//! crossbeam implement scopes), and this workspace forbids `unsafe`.
-//! Owned jobs sidestep the problem: the GEMM parallel path already packs
-//! its operands into fresh buffers, so sharing those via `Arc` and
-//! returning owned tiles adds only O(m·n + m·k + k·n) traffic against an
-//! O(m·n·k) kernel.
+//! crossbeam implement scopes), and this workspace forbids `unsafe`. So
+//! a persistent worker can only see copies: O(m·k + k·n + m·n) floats
+//! moved per GEMM. Against an O(m·n·k) kernel that is cheap only when
+//! every dimension is large. It is not for a skinny training step: the
+//! wide MLP's batch-4 weight gradient 2048×2048×4 (β = 1) took
+//! 5.2–5.3 ms on the owned pool against 2.0–2.5 ms serially (its C bands
+//! are the size of the weight, copied in and out), and LeNet's
+//! 500×800×32 weight gradient 0.62–0.70 ms against 0.29–0.44 ms. Those
+//! calls borrow instead: a scoped helper per extra band reads the
+//! caller's operands in place (1.4 ms for the 2048×2048×4 gradient).
+//!
+//! A scoped helper is not free either: ~37–40 µs to start and join on a
+//! 2-core AVX-512 host, and each one attaches a glibc malloc arena
+//! (std's thread start-up allocates in the new thread). With a helper on
+//! every parallel GEMM, the LeNet training benchmark's peak RSS rose
+//! 17% as freed memory fragmented across the extra arenas. So the split
+//! is by arithmetic intensity (`gemm::copy_bound`, DESIGN.md §8.2):
+//! calls under 4 flops per copied byte borrow, the rest stay on the
+//! persistent pool.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -40,10 +51,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Number of threads a data-parallel kernel should use (workers + the
 /// submitting thread itself).
+///
+/// Read once per process: `available_parallelism` consults the affinity
+/// mask and cgroup quota files, far too slow for a per-GEMM question.
 pub fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// A unit of work: an owned, type-erased closure.
@@ -187,7 +204,16 @@ impl WorkerPool {
         drop(tx);
 
         // Help drain the queue rather than blocking immediately: the
-        // submitting thread is one of the `threads()` compute threads.
+        // submitting thread is one of the `threads()` compute threads,
+        // and counts as a pool thread while it runs a job (so a kernel
+        // inside that job sees the same `in_pool_job` as on a worker).
+        struct Restore(bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                IS_POOL_WORKER.with(|f| f.set(self.0));
+            }
+        }
+        let restore = Restore(IS_POOL_WORKER.with(|f| f.replace(true)));
         loop {
             let job = lock_queue(&self.shared).pop_front();
             match job {
@@ -195,6 +221,7 @@ impl WorkerPool {
                 None => break,
             }
         }
+        drop(restore);
 
         let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
         for _ in 0..n {
@@ -211,6 +238,13 @@ impl WorkerPool {
             })
             .collect()
     }
+}
+
+/// True on a pool worker thread — inside a job of any [`WorkerPool`].
+/// Kernels that would fan out on their own (GEMM's scoped bands) run
+/// serially there: the enclosing fan-out already owns the cores.
+pub fn in_pool_job() -> bool {
+    IS_POOL_WORKER.with(|f| f.get())
 }
 
 /// The process-wide pool, spawned on first use with one worker per

@@ -37,8 +37,10 @@
 //!    `crates/nn/src/`, and the serving request path in
 //!    `crates/serve/src/` (`fn submit*` / `close*` / `dispatch*` /
 //!    `recycle*` / `drain*` / `advance*` / `infer*` / `run_*`), and the
-//!    prepacked serving GEMM in `crates/tensor/src/` (`fn gemm_packed*`
-//!    and the `fn skinny_*` panel loop it runs). The
+//!    GEMM paths of `crates/tensor/src/` that a warm step or request
+//!    runs (`fn gemm_packed*`, the `fn skinny_*` panel loop, and the
+//!    borrowed-band fan-out `fn gemm_blocked_parallel*` /
+//!    `fn fan_out_*`, whose band scratch is recycled per thread). The
 //!    training step and the steady-state serving path are
 //!    zero-allocation after warm-up (DESIGN.md §11, §16), so activation,
 //!    cache, and request buffers must be sized through the counted
@@ -373,10 +375,18 @@ const SERVE_STEP_FN_PREFIXES: &[&str] = &[
 ];
 
 /// Step hot-path function-name prefixes for `crates/tensor/src/`: the
-/// prepacked GEMM every served dense forward calls, and the skinny panel
+/// prepacked GEMM every served dense forward calls, the skinny panel
 /// loop it shares with the training kernel (its A-panel scratch is the
-/// thread-local packing buffer, so a warm call never allocates).
-const TENSOR_STEP_FN_PREFIXES: &[&str] = &["gemm_packed", "skinny_"];
+/// thread-local packing buffer, so a warm call never allocates), and the
+/// training GEMM's parallel fan-out (borrowed operands, band panels and
+/// column staging in recycled per-thread scratch — an operand copy or a
+/// per-call band buffer there is the waste the borrowed bands removed).
+const TENSOR_STEP_FN_PREFIXES: &[&str] = &[
+    "gemm_packed",
+    "skinny_",
+    "gemm_blocked_parallel",
+    "fan_out_",
+];
 
 /// True if `line` declares a function whose name starts with one of
 /// `prefixes` (the per-step hot-path naming convention).
@@ -1288,13 +1298,18 @@ mod tests {
 
     #[test]
     fn step_alloc_covers_the_prepacked_serving_gemm() {
-        for name in ["gemm_packed", "skinny_accumulate"] {
+        for name in [
+            "gemm_packed",
+            "skinny_accumulate",
+            "gemm_blocked_parallel",
+            "fan_out_bands",
+        ] {
             let src = format!("fn {name}(c: &mut [f32]) {{ let v = c{}; }}", to_vec_call());
             let f = lint_source("crates/tensor/src/gemm.rs", &src, true);
             assert_eq!(f.len(), 1, "fn {name}: {f:?}");
             assert_eq!(f[0].rule, "step-alloc");
         }
-        // The rest of the tensor crate (the training `gemm`, packing
+        // The rest of the tensor crate (the serial `gemm` entry, packing
         // at load) stays free to allocate.
         let src = format!("fn gemm(c: &mut [f32]) {{ let v = c{}; }}", to_vec_call());
         assert!(lint_source("crates/tensor/src/gemm.rs", &src, true).is_empty());
