@@ -16,12 +16,6 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// How many recycled buffers a rank keeps privately before spilling to
-/// the cluster-wide pool. Small: the exchange path needs at most a couple
-/// of in-flight buffers per rank, and anything beyond that should be
-/// visible to other ranks.
-const LOCAL_FREE_MAX: usize = 4;
-
 /// Backing storage of a message payload: either a pool-recycled buffer
 /// owned by the message (the common case), or a shared reference-counted
 /// buffer for one-copy fan-out of the same data to many destinations
@@ -106,10 +100,6 @@ pub struct Comm {
     pending: VecDeque<Message>,
     clock: SimClock,
     shared: Arc<Shared>,
-    /// Private free list in front of the cluster-wide pool: the
-    /// steady-state p2p path pops and pushes here without touching the
-    /// shared mutex.
-    local_free: Vec<Vec<f32>>,
     /// When `Some`, every comm operation appends its [`TraceOp`] — the
     /// trace-recording shim behind the xtask protocol model checker
     /// (DESIGN.md §12). `None` (the default) costs one branch per op.
@@ -154,7 +144,6 @@ impl Comm {
             pending: VecDeque::new(),
             clock: SimClock::new(),
             shared,
-            local_free: Vec::new(),
             trace: None,
             nic_free: 0.0,
             #[cfg(feature = "strict-invariants")]
@@ -276,38 +265,28 @@ impl Comm {
     // Buffer pool
     // ------------------------------------------------------------------
 
-    /// Takes a cleared buffer with capacity ≥ `len` from this rank's
-    /// private free list, falling back to the cluster-wide pool.
+    /// Takes a cleared buffer with capacity ≥ `len` from the
+    /// cluster-wide pool: the smallest free one that fits, or a fresh
+    /// allocation when none does ([`BufferPool::take`]).
+    ///
+    /// There is deliberately no per-rank free list in front of the pool:
+    /// a receiver recycles the sender's buffer, so a private list hoards
+    /// buffers its rank never takes (every worker parks the data rank's
+    /// batch buffers) while the taker allocates fresh ones.
+    ///
+    /// [`BufferPool::take`]: crate::pool::BufferPool::take
     pub fn take_buffer(&mut self, len: usize) -> Vec<f32> {
         self.note(TraceOp::TakeBuf);
-        match self.local_free.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                if buf.capacity() < len {
-                    self.shared.pool.note_external_alloc();
-                    buf.reserve(len);
-                }
-                buf
-            }
-            None => self.shared.pool.take(len),
-        }
+        self.shared.pool.take(len)
     }
 
-    /// Returns a buffer for reuse: to the private free list while it has
-    /// room, else to the cluster-wide pool.
+    /// Returns a buffer to the cluster-wide pool for reuse by any rank.
     pub fn recycle_buffer(&mut self, buf: Vec<f32>) {
         // Recorded even for capacity-0 buffers: the recycle call is what
         // discharges the ledger obligation, whether or not the pool keeps
         // the storage.
         self.note(TraceOp::Recycle);
-        if buf.capacity() == 0 {
-            return;
-        }
-        if self.local_free.len() < LOCAL_FREE_MAX {
-            self.local_free.push(buf);
-        } else {
-            self.shared.pool.put(buf);
-        }
+        self.shared.pool.put(buf);
     }
 
     /// Snapshot of the cluster-wide pool counters (allocations and bytes
@@ -1215,8 +1194,7 @@ mod tests {
         let cfg = ClusterConfig::new(2);
         let allocs = VirtualCluster::run(&cfg, |comm| {
             // All buffers share one arena size, mirroring a parameter
-            // exchange; the pool's LIFO free list then always hands back
-            // a big-enough buffer.
+            // exchange.
             let n = 512;
             let mut scratch = comm.take_buffer(n);
             scratch.resize(n, 0.5);
@@ -1233,7 +1211,7 @@ mod tests {
                 comm.allreduce_sum_into(s, TimeCategory::Other, out);
             };
             // Warm up buffer capacities, then measure. The sender also
-            // parks a few spares in its private free list: the pool's
+            // parks a few spares in the pool: the pool's
             // steady state needs one buffer of slack per pipeline stage
             // (the gate retires its combine buffer on the *last* read,
             // which can land after the fastest rank has already started

@@ -7,9 +7,10 @@
 //! or (c) the gate's result store. Point-to-point payloads migrate with
 //! the message — the *receiver* recycles them — so the pool is shared
 //! across the whole cluster: asymmetric traffic (the CPU rank streaming
-//! batches to the GPUs) drains nobody. Each [`crate::Comm`] additionally
-//! keeps a small private free list in front of this pool so the
-//! steady-state exchange path never touches the shared mutex.
+//! batches to the GPUs) drains nobody. Buffers are handed out
+//! size-matched ([`best_fit`]), so kilobyte batch messages and
+//! parameter-sized exchange messages share one list without either
+//! spending or regrowing the other's buffers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -45,6 +46,23 @@ impl PoolStats {
     }
 }
 
+/// Index of the smallest buffer in `free` whose capacity is at least
+/// `len`, if any.
+///
+/// Size-matched reuse is what keeps a mixed exchange allocation-free: a
+/// training round recycles kilobyte batch messages and parameter-sized
+/// (tens of MB) tree messages through the same lists, and handing out
+/// whatever was recycled last would spend a parameter buffer on a batch
+/// message and then grow a batch buffer to parameter size — a fresh
+/// multi-megabyte allocation, and its page faults, every round.
+fn best_fit(free: &[Vec<f32>], len: usize) -> Option<usize> {
+    free.iter()
+        .enumerate()
+        .filter(|(_, buf)| buf.capacity() >= len)
+        .min_by_key(|(_, buf)| buf.capacity())
+        .map(|(i, _)| i)
+}
+
 /// A mutex-guarded free list of `Vec<f32>` buffers with allocation and
 /// copy counters. All counters are `Relaxed`: they are statistics — no
 /// memory is published through them, and the bench reads them only after
@@ -64,28 +82,24 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Takes a cleared buffer with capacity ≥ `len`. Zero-length requests
-    /// return a fresh `Vec::new()` without touching the pool or the
-    /// counters (an empty `Vec` never allocates).
+    /// Takes a cleared buffer with capacity ≥ `len`: the smallest free
+    /// buffer that fits ([`best_fit`]), or a fresh allocation when none
+    /// does. Zero-length requests return a fresh `Vec::new()` without
+    /// touching the pool or the counters (an empty `Vec` never
+    /// allocates).
     pub fn take(&self, len: usize) -> Vec<f32> {
         if len == 0 {
             return Vec::new();
         }
-        let popped = {
+        let fitted = {
             let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-            free.pop()
+            best_fit(&free, len).map(|i| free.swap_remove(i))
         };
-        match popped {
+        match fitted {
             Some(mut buf) => {
                 buf.clear();
-                if buf.capacity() < len {
-                    // ordering: statistics counter, see type docs.
-                    self.grown.fetch_add(1, Ordering::Relaxed);
-                    buf.reserve(len - buf.len());
-                } else {
-                    // ordering: statistics counter, see type docs.
-                    self.reused.fetch_add(1, Ordering::Relaxed);
-                }
+                // ordering: statistics counter, see type docs.
+                self.reused.fetch_add(1, Ordering::Relaxed);
                 buf
             }
             None => {
@@ -152,13 +166,67 @@ mod tests {
     }
 
     #[test]
-    fn growing_a_small_recycled_buffer_counts_as_allocation() {
+    fn a_request_no_free_buffer_fits_allocates_and_keeps_the_small_one() {
         let pool = BufferPool::new();
         let a = pool.take(4);
         pool.put(a);
         let b = pool.take(1024);
         assert!(b.capacity() >= 1024);
         assert_eq!(pool.stats().allocations(), 2);
+        // The small buffer stayed small and serves the next small take.
+        let c = pool.take(4);
+        assert!(c.capacity() < 1024);
+        assert_eq!(pool.stats().allocations(), 2);
+    }
+
+    #[test]
+    fn take_hands_out_the_smallest_buffer_that_fits() {
+        let pool = BufferPool::new();
+        let bufs: Vec<_> = [64, 8, 4096, 16].iter().map(|&n| pool.take(n)).collect();
+        for b in bufs {
+            pool.put(b);
+        }
+        assert_eq!(pool.take(10).capacity(), 16);
+        assert_eq!(pool.take(1000).capacity(), 4096);
+        assert_eq!(pool.take(8).capacity(), 8);
+        assert_eq!(pool.take(8).capacity(), 64);
+        assert_eq!(pool.stats().allocations(), 4);
+    }
+
+    #[test]
+    fn mixed_batch_and_parameter_rounds_stop_allocating_after_round_one() {
+        // Replays the event backend's order of one Sync EASGD round per
+        // iteration: the data rank takes one batch buffer per worker,
+        // every batch buffer is recycled before the parameter messages
+        // (tree broadcast and reduce hops) take theirs, and those are
+        // recycled in turn. Whatever was recycled last is parameter-
+        // sized when the next round's batch takes start, so a LIFO list
+        // spent it on a batch message and grew a batch buffer to
+        // parameter size instead.
+        const BATCH: usize = 3 + 4 + 4 * 784;
+        const PARAMS: usize = 1 << 16;
+        const WORKERS: usize = 4;
+        let pool = BufferPool::new();
+        let mut warm = PoolStats::default();
+        for round in 0..6 {
+            let batches: Vec<_> = (0..WORKERS).map(|_| pool.take(BATCH)).collect();
+            for b in batches {
+                pool.put(b);
+            }
+            // Three broadcast and three reduce hops in a 4-rank tree,
+            // two of them in flight at once.
+            for _ in 0..3 {
+                let x = pool.take(PARAMS);
+                let y = pool.take(PARAMS);
+                pool.put(x);
+                pool.put(y);
+            }
+            if round == 0 {
+                warm = pool.stats();
+            }
+        }
+        let steady = pool.stats().since(&warm);
+        assert_eq!((steady.fresh, steady.grown), (0, 0), "{steady:?}");
     }
 
     #[test]
