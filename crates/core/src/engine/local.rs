@@ -1,5 +1,6 @@
-//! One worker's local optimization state: network replica, gradient and
-//! velocity buffers, center snapshot, and per-step loss trace.
+//! One worker's local optimization state: network replica (whose
+//! gradient arena every update reads in place), velocity buffer, center
+//! snapshot, and per-step loss trace.
 //!
 //! [`LocalStep`] is the compute half of every trainer — wall-clock and
 //! simulated alike. It owns the forward/backward call and the local
@@ -16,7 +17,6 @@ use easgd_tensor::ops;
 /// Per-worker training state plus the step kernels that mutate it.
 pub struct LocalStep {
     net: Network,
-    grad: Vec<f32>,
     velocity: Vec<f32>,
     snapshot: Vec<f32>,
     loss_trace: Vec<f32>,
@@ -30,7 +30,6 @@ impl LocalStep {
         let n = net.num_params();
         Self {
             net,
-            grad: vec![0.0f32; n],
             velocity: vec![0.0f32; n],
             snapshot: vec![0.0f32; n],
             loss_trace: Vec::new(),
@@ -38,12 +37,12 @@ impl LocalStep {
         }
     }
 
-    /// One forward/backward pass: records the loss and captures the
-    /// gradient into the local buffer. Returns the step loss.
+    /// One forward/backward pass: records the loss and leaves the
+    /// gradient in the network's gradient arena, where every step kernel
+    /// below reads it. Returns the step loss.
     pub fn forward_backward(&mut self, batch: &Batch) -> f32 {
         let stats = self.net.forward_backward(&batch.images, &batch.labels);
         self.record_loss(stats.loss);
-        self.grad.copy_from_slice(self.net.grads().as_slice());
         stats.loss
     }
 
@@ -54,7 +53,6 @@ impl LocalStep {
     pub fn forward_backward_flat(&mut self, batch: usize, pixels: &[f32], labels: &[usize]) -> f32 {
         let stats = self.net.forward_backward_from_slice(batch, pixels, labels);
         self.record_loss(stats.loss);
-        self.grad.copy_from_slice(self.net.grads().as_slice());
         stats.loss
     }
 
@@ -63,40 +61,36 @@ impl LocalStep {
         self.loss_trace.push(loss);
     }
 
-    /// Plain SGD step `W ← W − ηΔW` on the captured gradient.
+    /// Plain SGD step `W ← W − ηΔW` on the last gradient.
     pub fn sgd_step(&mut self, eta: f32) {
-        ops::sgd_update(eta, self.net.params_mut().as_mut_slice(), &self.grad);
+        let (w, g) = self.net.params_and_grads_mut();
+        ops::sgd_update(eta, w, g);
     }
 
-    /// Momentum step, Equations (3)–(4), on the captured gradient.
+    /// Momentum step, Equations (3)–(4), on the last gradient.
     pub fn momentum_step(&mut self, eta: f32, mu: f32) {
-        ops::momentum_update(
-            eta,
-            mu,
-            self.net.params_mut().as_mut_slice(),
-            &mut self.velocity,
-            &self.grad,
-        );
+        let (w, g) = self.net.params_and_grads_mut();
+        ops::momentum_update(eta, mu, w, &mut self.velocity, g);
     }
 
-    /// Adds `λ·W` to the captured gradient (L2 weight decay).
+    /// Adds `λ·W` to the last gradient, in the network's arena (L2
+    /// weight decay).
     pub fn decay_grad(&mut self, lambda: f32) {
-        apply_weight_decay(lambda, self.net.params().as_slice(), &mut self.grad);
+        let (w, g) = self.net.params_and_grads_mut();
+        apply_weight_decay(lambda, w, g);
     }
 
     /// Equation (1) against the stored center snapshot.
     pub fn elastic_step(&mut self, rule: &ElasticRule) {
-        rule.worker_pull(
-            self.net.params_mut().as_mut_slice(),
-            &self.grad,
-            &self.snapshot,
-        );
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.worker_pull(w, g, &self.snapshot);
     }
 
     /// Equation (1) against an explicit center (simulated trainers that
     /// receive the center over the wire).
     pub fn elastic_step_against(&mut self, rule: &ElasticRule, center: &[f32]) {
-        rule.worker_pull(self.net.params_mut().as_mut_slice(), &self.grad, center);
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.worker_pull(w, g, center);
     }
 
     /// The fused exchange step against an explicit center: publishes the
@@ -110,12 +104,8 @@ impl LocalStep {
         center: &[f32],
         contribution: &mut [f32],
     ) {
-        rule.exchange(
-            self.net.params_mut().as_mut_slice(),
-            contribution,
-            &self.grad,
-            center,
-        );
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.exchange(w, contribution, g, center);
     }
 
     /// One segment of [`LocalStep::elastic_exchange_against`]: the fused
@@ -130,10 +120,11 @@ impl LocalStep {
         center_seg: &[f32],
         contribution_seg: &mut [f32],
     ) {
+        let (w, g) = self.net.params_and_grads_mut();
         rule.exchange(
-            &mut self.net.params_mut().as_mut_slice()[range.clone()],
+            &mut w[range.clone()],
             contribution_seg,
-            &self.grad[range],
+            &g[range],
             center_seg,
         );
     }
@@ -141,22 +132,14 @@ impl LocalStep {
     /// [`LocalStep::elastic_exchange_against`] using the stored center
     /// snapshot (the shared-memory Sync EASGD path).
     pub fn elastic_exchange_step(&mut self, rule: &ElasticRule, contribution: &mut [f32]) {
-        rule.exchange(
-            self.net.params_mut().as_mut_slice(),
-            contribution,
-            &self.grad,
-            &self.snapshot,
-        );
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.exchange(w, contribution, g, &self.snapshot);
     }
 
     /// Equations (5)–(6) against the stored center snapshot.
     pub fn elastic_momentum_step(&mut self, rule: &ElasticRule) {
-        rule.momentum_pull(
-            self.net.params_mut().as_mut_slice(),
-            &mut self.velocity,
-            &self.grad,
-            &self.snapshot,
-        );
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.momentum_pull(w, &mut self.velocity, g, &self.snapshot);
     }
 
     /// Copies `center` into the snapshot buffer.
@@ -197,9 +180,10 @@ impl LocalStep {
         self.net.set_params(src);
     }
 
-    /// The captured gradient of the last forward/backward.
+    /// The gradient of the last forward/backward (after any
+    /// [`LocalStep::decay_grad`]): the network's gradient arena itself.
     pub fn grad(&self) -> &[f32] {
-        &self.grad
+        self.net.grads().as_slice()
     }
 
     /// Parameter count.
@@ -271,6 +255,45 @@ mod tests {
         ops::sgd_update(0.1, &mut want, local.grad());
         local.sgd_step(0.1);
         assert_eq!(local.params(), &want[..]);
+    }
+
+    #[test]
+    fn decay_and_elastic_step_update_the_network_gradient_arena() {
+        // Weight decay edits the gradient where the backward pass left
+        // it, the elastic step reads that decayed gradient, and the next
+        // backward pass overwrites it — bitwise against the same updates
+        // spelled out on a raw network and explicit copies.
+        let (proto, train) = setup();
+        let mut rng = easgd_tensor::Rng::new(22);
+        let batch = train.sample_batch(&mut rng, 8);
+        let rule = ElasticRule {
+            eta: 0.05,
+            rho: 0.3,
+            mu: 0.9,
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut local = LocalStep::new(&proto);
+        local.forward_backward(&batch);
+        let mut net = proto.clone();
+        net.forward_backward(&batch.images, &batch.labels);
+
+        let mut want_g = net.grads().as_slice().to_vec();
+        apply_weight_decay(1e-2, net.params().as_slice(), &mut want_g);
+        local.decay_grad(1e-2);
+        assert_eq!(bits(local.grad()), bits(&want_g));
+
+        let n = local.num_params();
+        let center: Vec<f32> = (0..n).map(|i| (i as f32).cos() * 0.1).collect();
+        let mut want_w = net.params().as_slice().to_vec();
+        rule.worker_pull(&mut want_w, &want_g, &center);
+        local.elastic_step_against(&rule, &center);
+        assert_eq!(bits(local.params()), bits(&want_w));
+
+        local.forward_backward(&batch);
+        net.set_params(&want_w);
+        net.forward_backward(&batch.images, &batch.labels);
+        assert_eq!(bits(local.grad()), bits(net.grads().as_slice()));
     }
 
     #[test]

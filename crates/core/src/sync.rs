@@ -369,8 +369,16 @@ pub fn sync_easgd_sim_with(
     let outs = VirtualCluster::run(&cluster, |comm: &mut Comm| {
         let me = comm.rank();
         let mut rng = additive_rng(cfg.seed, me as u64);
-        let mut center = proto.params().as_slice().to_vec();
-        let n = center.len();
+        // The priced exchange dilutes a center replica on every rank;
+        // the executable trees read `center` on the center holder only
+        // (both copy it into the broadcast on the root), so nobody else
+        // pays a parameter-sized first touch for it.
+        let mut center = if exchange == SyncExchange::Priced || me == center_rank {
+            proto.params().as_slice().to_vec()
+        } else {
+            Vec::new()
+        };
+        let n = proto.num_params();
         // Rank 0 is the data-feeding CPU; GPUs carry a network replica.
         let mut local = (me != 0).then(|| LocalStep::new(proto));
         let mut recorder = TraceRecorder::new(trace_every);
@@ -677,6 +685,100 @@ mod tests {
             iterations: iters,
             seed: 81,
             comm_period: 1,
+        }
+    }
+
+    #[test]
+    fn executable_tree_rounds_make_no_pool_allocations_after_round_zero() {
+        // Sync EASGD2's executable-tree round on the event backend, built
+        // from the trainer's own parts: the data rank ships one batch
+        // message per worker, the workers step and run the tree exchange
+        // of a multi-MB model. Kilobyte batch messages and parameter-
+        // sized tree messages recycle through the same pool; once round 0
+        // has sized it, no round allocates. Run free (the data rank never
+        // blocks, so it sends every round's batches first, as in the
+        // trainer) and paced by a barrier per round.
+        for paced in [false, true] {
+            let d = pool_stats_after_round_zero(paced);
+            assert_eq!(d.allocations(), 0, "paced={paced}: {d:?}");
+            assert!(
+                d.reused > 0,
+                "paced={paced}: the rounds took no pooled buffers"
+            );
+        }
+    }
+
+    /// Cluster-wide pool counters from the center rank's end of round 0
+    /// to the end of a 4-round job (see the test above).
+    fn pool_stats_after_round_zero(paced: bool) -> easgd_cluster::PoolStats {
+        let task = SyntheticSpec::mnist_small().task(74);
+        let (train, _) = task.train_test(64, 8, 75);
+        let proto = easgd_nn::models::mlp(144, &[2048, 512], 10, 76);
+        assert!(proto.size_bytes() > 4 << 20);
+        let (g, batch) = (4, 4);
+        let cluster = ClusterConfig::new(g + 1).with_backend(easgd_cluster::ClusterBackend::Events);
+        let participants: Vec<usize> = (1..=g).collect();
+        let rule = ElasticRule {
+            eta: 0.05,
+            rho: 0.3,
+            mu: 0.9,
+        };
+        let center_rank = 1;
+        let deltas = VirtualCluster::run(&cluster, |comm: &mut Comm| {
+            let me = comm.rank();
+            let mut rng = additive_rng(81, me as u64);
+            let mut local = (me != 0).then(|| LocalStep::new(&proto));
+            let mut center = proto.params().as_slice().to_vec();
+            let n = center.len();
+            let (mut center_t, mut weight_sum) = (vec![0.0f32; n], vec![0.0f32; n]);
+            let (mut payload, mut labels) = (Vec::new(), Vec::new());
+            let mut warm = None;
+            for round in 0..4 {
+                match local.as_mut() {
+                    None => {
+                        for j in 1..=g {
+                            let b = train.sample_batch(&mut rng, batch);
+                            let pixels = b.images.as_slice();
+                            let mut buf = comm.take_buffer(3 + b.labels.len() + pixels.len());
+                            BatchMsg::encode_into(pixels, &b.labels, &mut buf);
+                            comm.send_from(j, tags::SYNC_DATA, buf, TimeCategory::CpuGpuData);
+                        }
+                    }
+                    Some(l) => {
+                        comm.recv_into(0, tags::SYNC_DATA, TimeCategory::Other, &mut payload);
+                        let pixels = match BatchMsg::decode_into(&payload, batch, &mut labels) {
+                            Ok(x) => x,
+                            Err(e) => panic!("batch codec: {e}"),
+                        };
+                        l.forward_backward_flat(batch, pixels, &labels);
+                        tree_exchange_round(
+                            comm,
+                            &participants,
+                            center_rank,
+                            &center,
+                            &mut center_t,
+                            &mut weight_sum,
+                            TimeCategory::GpuGpuParam,
+                            |ct, ws| l.elastic_exchange_against(&rule, ct, ws),
+                        );
+                        if me == center_rank {
+                            rule.center_dilution(&mut center, &weight_sum, g);
+                        }
+                    }
+                }
+                if paced {
+                    comm.barrier();
+                }
+                if me == center_rank && round == 0 {
+                    warm = Some(comm.pool_stats());
+                }
+            }
+            comm.barrier();
+            warm.map(|w| comm.pool_stats().since(&w))
+        });
+        match deltas.into_iter().flatten().next() {
+            Some(d) => d,
+            None => panic!("the center rank snapshots the pool"),
         }
     }
 

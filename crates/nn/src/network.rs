@@ -342,6 +342,14 @@ impl Network {
         &mut self.grads
     }
 
+    /// Both arenas at once — parameters and the gradient of the last
+    /// [`forward_backward`](Self::forward_backward), mutable side by side
+    /// — so an update rule reads the gradient where the backward pass
+    /// left it instead of copying it out first.
+    pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.params.as_mut_slice(), self.grads.as_mut_slice())
+    }
+
     /// Per-parameter-segment `(name, len)` pairs, in arena order — the
     /// per-layer message schedule of the *unpacked* layout (Figure 10).
     pub fn segment_sizes(&self) -> Vec<(String, usize)> {
