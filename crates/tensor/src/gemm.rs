@@ -1237,7 +1237,7 @@ fn band_scratch_floats() -> usize {
 /// Sync-EASGD determinism property extends down through the compute
 /// kernel).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_blocked_parallel(
+fn gemm_blocked_parallel(
     threads: usize,
     ta: Transpose,
     tb: Transpose,

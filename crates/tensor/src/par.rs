@@ -243,7 +243,7 @@ impl WorkerPool {
 /// True on a pool worker thread — inside a job of any [`WorkerPool`].
 /// Kernels that would fan out on their own (GEMM's scoped bands) run
 /// serially there: the enclosing fan-out already owns the cores.
-pub fn in_pool_job() -> bool {
+pub(crate) fn in_pool_job() -> bool {
     IS_POOL_WORKER.with(|f| f.get())
 }
 
