@@ -5,11 +5,11 @@
 //! owned closures over `Arc`-shared operand copies that take their
 //! recycled buffers by move and hand them back; the caller writes the
 //! results back in a fixed order. Persistent workers cannot run borrowed
-//! closures in safe Rust; the skinny GEMMs borrow instead by starting
-//! scoped threads per call, but convolution is compute-bound, so the
-//! copies are cheap next to the work and the parked pool spares each
-//! call a thread start (DESIGN.md §8.2, and a GEMM inside a job runs
-//! serially). The forward runs one job per sample. The backward runs
+//! closures in safe Rust; the memory-bound GEMMs borrow instead by
+//! starting scoped threads per call, but convolution is compute-bound,
+//! so the copies are cheap next to the work and the parked pool spares
+//! each call a thread start (DESIGN.md §8.2, and a GEMM inside a job
+//! runs serially). The forward runs one job per sample. The backward runs
 //! parameter-gradient jobs over bands of the weight's columns and
 //! input-gradient jobs over sample chunks (DESIGN.md §17.1). Every
 //! result is bit-identical to the serial loop at any worker count.

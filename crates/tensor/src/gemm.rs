@@ -24,14 +24,13 @@
 //!   `MR`/`NR`-aligned bands of the output's *larger* dimension (so
 //!   skinny-M layers split over N rather than serializing on one row
 //!   band), each band running the serial loop nest with the real `β`,
-//!   so the result is bit-identical to `gemm_serial`. Calls with fewer
-//!   than 4 flops per byte an operand copy would move — every GEMM of a
-//!   small-batch step over a wide layer — run on *borrowed* bands:
-//!   scoped helper threads read op(A)/op(B) in place and write row
-//!   bands of C directly (column bands through a recycled staging
-//!   window). Compute-bound calls run as owned jobs on the
-//!   persistent [`crate::par::pool()`], over `Arc`-shared operand
-//!   copies, sparing each call a thread start (DESIGN.md §8.2).
+//!   so the result is bit-identical to `gemm_serial`. Only memory-bound
+//!   calls take it — fewer than 4 flops per byte of operand and output
+//!   traffic, every GEMM of a small-batch step over a wide layer. Scoped
+//!   helper threads read op(A)/op(B) in place and write row bands of C
+//!   directly (column bands through a recycled staging window).
+//!   Compute-bound calls stay serial, sparing each one a thread start
+//!   (DESIGN.md §8.2).
 //!
 //! A weight operand reused across many calls can be staged once into the
 //! skinny nest's strip layout ([`PackedB`]); [`gemm_packed`] then runs
@@ -44,7 +43,6 @@
 
 use crate::par;
 use crate::simd::{self, MR, NR};
-use std::sync::Arc;
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -67,11 +65,11 @@ const NC: usize = 2048;
 /// Below this many flops (`2·m·n·k`) the direct row loop wins: packing
 /// would touch more memory than the multiply itself.
 const SMALL_FLOPS: u64 = 1 << 17;
-/// Below this many flops parallel dispatch (a pool wake plus operand
-/// copies, or a ~40 µs scoped thread start per extra band) costs more
-/// than it saves. Applied uniformly to every transpose combination — the old `m·n` element threshold misjudged tall-skinny
-/// and wide-flat shapes (an `m×1` weight-gradient GEMM has `m` output
-/// elements but `2·m·k` flops).
+/// Below this many flops parallel dispatch (a ~40 µs scoped thread
+/// start per extra band) costs more than it saves. Applied uniformly to
+/// every transpose combination — the old `m·n` element threshold
+/// misjudged tall-skinny and wide-flat shapes (an `m×1` weight-gradient
+/// GEMM has `m` output elements but `2·m·k` flops).
 const PAR_FLOPS: u64 = 8 << 20;
 
 // The microkernel spells out its MR row accumulators as straight-line
@@ -229,7 +227,7 @@ pub fn gemm(
 /// `easgd-serve`), so its eval path needs a dispatch that is a pure
 /// function of the per-row shape `(n, k)`.
 ///
-/// Every blocked variant (serial, skinny, SIMD tiers, pool-parallel) is
+/// Every blocked variant (serial, skinny, SIMD tiers, banded parallel) is
 /// pinned bit-identical per row, and both kernels compute row `r` from
 /// row `r` of `op(A)` alone, so per-row dispatch makes the whole result
 /// row-stable: parallelism may still engage by total flops without
@@ -270,7 +268,7 @@ pub fn gemm_rowstable(
     blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
 }
 
-/// The blocked kernel forced onto the calling thread (no pool), for
+/// The blocked kernel forced onto the calling thread (no bands), for
 /// single-threaded A/B measurement against [`gemm_naive`].
 ///
 /// # Panics
@@ -1024,15 +1022,14 @@ fn stage_b_rows(
 // Parallel dispatch: borrowed bands on scoped threads.
 // ---------------------------------------------------------------------------
 
-/// The blocked kernel for one call past the tiny tier: serial below
-/// `PAR_FLOPS`; from there fanned out over the calling thread's compute
-/// threads — on borrowed bands if the call is [`copy_bound`], else as
-/// owned jobs on the persistent pool (the override installed by
-/// [`par::with_pool`], or the global one). Two cases stay serial
-/// whatever the size: a call made inside a pool job (the enclosing
-/// fan-out already owns every core, DESIGN.md §17) and a call under a
-/// one-thread pool override (a chip-partition group or a served replica
-/// that owns one core) — neither wakes nor spawns a thread.
+/// The blocked kernel for one call past the tiny tier: fanned out over
+/// the calling thread's compute threads on borrowed bands
+/// ([`gemm_blocked_parallel`]) if the call is past `PAR_FLOPS` and
+/// [`memory_bound`], else serial. Two cases stay serial whatever the
+/// shape: a call made inside a pool job (the enclosing fan-out already
+/// owns every core, DESIGN.md §17) and a call under a one-thread pool
+/// override (a chip-partition group or a served replica that owns one
+/// core) — neither starts a thread.
 #[allow(clippy::too_many_arguments)]
 fn blocked_dispatch(
     ta: Transpose,
@@ -1046,153 +1043,40 @@ fn blocked_dispatch(
     beta: f32,
     c: &mut [f32],
 ) {
-    if gemm_flops(m, n, k) >= PAR_FLOPS && !par::in_pool_job() {
-        if copy_bound(m, n, k) {
-            let threads = par::current_threads();
-            if threads > 1 {
-                gemm_blocked_parallel(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        } else if let Some(pool) = par::pool_override() {
-            if pool.threads() > 1 {
-                gemm_pool_jobs(&pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        } else {
-            // The global pool is fetched only here: fetching it eagerly
-            // would spawn ncores−1 persistent threads in processes that
-            // only ever run serial-path GEMMs.
-            let pool = par::pool();
-            if pool.threads() > 1 {
-                gemm_pool_jobs(pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
+    if gemm_flops(m, n, k) >= PAR_FLOPS && memory_bound(m, n, k) && !par::in_pool_job() {
+        let threads = par::current_threads();
+        if threads > 1 {
+            gemm_blocked_parallel(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
+            return;
         }
     }
     blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
 }
 
-/// Flops per byte of operand copying below which a GEMM is *copy-bound*
-/// on the owned-job path: the kernel runs at ~80 GFLOP/s per core and a
-/// copy at ~20 GB/s on the reference host, so under 4 flop/B the copies
-/// [`gemm_pool_jobs`] makes cost more than the multiply itself
-/// (DESIGN.md §8.2).
-const OWNED_MIN_FLOPS_PER_BYTE: u64 = 4;
+/// Flops per byte of unavoidable memory traffic at which a GEMM turns
+/// compute-bound: the kernel runs at ~80 GFLOP/s per core and streams
+/// memory at ~20 GB/s on the reference host (DESIGN.md §8.2).
+const COMPUTE_BOUND_FLOPS_PER_BYTE: u64 = 4;
 
-/// Whether a parallel call should fan out over borrowed bands
-/// ([`gemm_blocked_parallel`]) rather than owned pool jobs: true when
-/// the bytes the owned path would copy — op(A) and op(B) into shared
-/// buffers, every C band filled and copied back — buy fewer than
-/// [`OWNED_MIN_FLOPS_PER_BYTE`] flops each. Every GEMM of a skinny
-/// training step (an `m` or `k` of a few samples against a square
-/// weight) is; square and batch-32 LeNet shapes are not, and keep the
-/// persistent pool, whose parked workers cost no thread start per call.
-fn copy_bound(m: usize, n: usize, k: usize) -> bool {
-    let copied_bytes = 4 * (m * k + k * n + 2 * m * n) as u64;
-    gemm_flops(m, n, k) < OWNED_MIN_FLOPS_PER_BYTE * copied_bytes
-}
-
-/// The compute-bound fan-out: the blocked kernel over the persistent
-/// `pool`, with owned jobs. The output is split into `MR`/`NR`-aligned
-/// bands along its larger dimension, each worker computes an owned band
-/// from `Arc`-shared operand copies, and the caller copies the finished
-/// bands back into `c` — `O(m·k + k·n + m·n)` copies, which only calls
-/// past [`copy_bound`] amortize.
-///
-/// Each band buffer is seeded with its window of the incoming C and run
-/// through [`blocked_accumulate`] with the *real* `β`, so the band job
-/// performs the exact per-element operation sequence of [`gemm_serial`]
-/// (β blended into the first `KC` pass, later passes accumulated in the
-/// same `pc` order; bands start on `MR`/`NR` multiples, so register
-/// tiles group the same rows/columns as the serial nest). Every output
-/// element is owned by exactly one band, making the result bit-identical
-/// to the serial kernel.
-#[allow(clippy::too_many_arguments)]
-fn gemm_pool_jobs(
-    pool: &par::WorkerPool,
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    let c = &mut c[..m * n];
-    if k == 0 || alpha == 0.0 {
-        apply_beta(c, beta);
-        return;
-    }
-    // Owned copies lend the operands to the persistent workers ('static
-    // jobs); O(m·k + k·n) against O(m·n·k) compute.
-    let a_shared: Arc<Vec<f32>> = Arc::new(a[..m * k].to_vec());
-    let b_shared: Arc<Vec<f32>> = Arc::new(b[..k * n].to_vec());
-
-    // Split the larger output dimension into tile-aligned bands, a few
-    // per thread so uneven bands still balance.
-    let target = pool.threads() * 3;
-    let split_rows = m >= n;
-    let (len, tile) = if split_rows { (m, MR) } else { (n, NR) };
-    let bands = target.min(len.div_ceil(tile));
-    let band_len = len.div_ceil(bands).next_multiple_of(tile);
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> Vec<f32> + Send>> = Vec::new();
-    let mut starts = Vec::new();
-    let mut start = 0;
-    while start < len {
-        let this = band_len.min(len - start);
-        starts.push((start, this));
-        let (a_ref, b_ref) = (a_shared.clone(), b_shared.clone());
-        let (i0, mc0, j0, nc0) = if split_rows {
-            (start, this, 0, n)
-        } else {
-            (0, m, start, this)
-        };
-        let width = if split_rows { n } else { this };
-        // Seed the band with its window of the incoming C so the job
-        // blends the real β exactly as the serial kernel does; with
-        // β = 0 the first KC pass stores without reading, so the seed
-        // values are never observed and the copy is skipped.
-        let mut out = vec![0.0f32; mc0 * nc0];
-        if beta != 0.0 {
-            if split_rows {
-                out.copy_from_slice(&c[start * n..(start + this) * n]);
-            } else {
-                for r in 0..m {
-                    out[r * this..(r + 1) * this].copy_from_slice(&c[r * n + start..][..this]);
-                }
-            }
-        }
-        jobs.push(Box::new(move || {
-            blocked_accumulate(
-                ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, &a_ref, &b_ref, beta, &mut out, width,
-            );
-            out
-        }));
-        start += this;
-    }
-
-    let results = pool.run(jobs);
-    for ((start, this), band) in starts.into_iter().zip(results) {
-        if split_rows {
-            // Whole contiguous row band.
-            c[start * n..(start + this) * n].copy_from_slice(&band);
-        } else {
-            // Column band: copy row by row.
-            for r in 0..m {
-                c[r * n + start..][..this].copy_from_slice(&band[r * this..(r + 1) * this]);
-            }
-        }
-    }
+/// Whether a call is memory-bound — fewer than
+/// [`COMPUTE_BOUND_FLOPS_PER_BYTE`] flops per byte of op(A) and op(B)
+/// read once and C read and written once — and so fans out: a second
+/// band adds a core's worth of bandwidth (the wide MLP's batch-4 GEMMs
+/// ran at 5–8 GFLOP/s serially). Compute-bound calls (square shapes,
+/// LeNet's batch-32 dense layers) run serially: a band split would
+/// speed them up too, but each call's helper thread costs a thread
+/// start and, across a training run, peak RSS (DESIGN.md §8.2).
+fn memory_bound(m: usize, n: usize, k: usize) -> bool {
+    let bytes = 4 * (m * k + k * n + 2 * m * n) as u64;
+    gemm_flops(m, n, k) < COMPUTE_BOUND_FLOPS_PER_BYTE * bytes
 }
 
 /// Per-thread scratch of [`gemm_blocked_parallel`], owned by the calling
 /// thread: every band's (A-panel, B-panel) packing pair, and the staged
-/// output windows of a column split. Grows monotonically, so a warm call
-/// touches the allocator zero times — and the helper threads never do.
+/// output windows of a column split. Grows monotonically, so it does not
+/// grow on a warm call, and the bands never allocate buffers of their
+/// own. Starting each helper thread still allocates (std's thread
+/// start-up, in the caller and in the new thread; DESIGN.md §8.2).
 struct BandScratch {
     panels: Vec<(Vec<f32>, Vec<f32>)>,
     stage: Vec<f32>,
@@ -1975,48 +1859,53 @@ mod tests {
     }
 
     #[test]
-    fn owned_pool_jobs_are_bit_identical_to_serial() {
-        // The compute-bound fan-out over a local pool, whatever the host
-        // core count: row and column bands, β ≠ 0 across the KC boundary.
-        let pool = par::WorkerPool::new(3);
-        for &(m, n, k) in &[
-            (257, 19, 130),
-            (19, 257, 130),
-            (70, 300, KC + 9),
-            (40, 40, 0),
-        ] {
-            let a = rand_vec(m * k, 6);
-            let b = rand_vec(k * n, 7);
-            let mut c_par = rand_vec(m * n, 8);
-            let mut c_ser = c_par.clone();
-            let (ta, tb) = (Transpose::No, Transpose::Yes);
-            gemm_pool_jobs(&pool, ta, tb, m, n, k, 2.0, &a, &b, 0.5, &mut c_par);
-            gemm_serial(ta, tb, m, n, k, 2.0, &a, &b, 0.5, &mut c_ser);
-            assert_eq!(bits(&c_par), bits(&c_ser), "m={m} n={n} k={k}");
-        }
-    }
-
-    #[test]
-    fn copy_bound_splits_skinny_steps_from_compute_bound_calls() {
+    fn only_memory_bound_calls_fan_out() {
         // The wide MLP's batch-4 GEMMs (forward, input gradient, β = 1
-        // weight gradient) take the borrowed bands; LeNet's batch-32 fc6
-        // calls and a square 512³ stay on the owned pool.
+        // weight gradient) stream more bytes than they have flops to
+        // hide; LeNet's batch-32 fc6 calls, a square 512³ and the
+        // batch-32 vgg_fc6 layer do not.
         for (m, n, k) in [
             (4, 2048, 2048),
             (2048, 2048, 4),
             (4, 2048, 784),
             (2048, 784, 4),
         ] {
-            assert!(copy_bound(m, n, k), "{m}x{n}x{k}");
+            assert!(memory_bound(m, n, k), "{m}x{n}x{k}");
         }
         for (m, n, k) in [
             (32, 500, 800),
             (500, 800, 32),
             (32, 800, 500),
             (512, 512, 512),
+            (32, 4096, 25088),
         ] {
-            assert!(!copy_bound(m, n, k), "{m}x{n}x{k}");
+            assert!(!memory_bound(m, n, k), "{m}x{n}x{k}");
         }
+    }
+
+    #[test]
+    fn compute_bound_gemm_runs_serially_on_every_call() {
+        // A compute-bound call past PAR_FLOPS keeps to the calling
+        // thread however often it repeats: no band is split off (the
+        // band scratch never grows) and the bits are the serial ones.
+        let (m, n, k) = (192, 192, 192);
+        assert!(gemm_flops(m, n, k) >= PAR_FLOPS && !memory_bound(m, n, k));
+        let a = rand_vec(m * k, 50);
+        let b = rand_vec(k * n, 51);
+        let mut want = rand_vec(m * n, 52);
+        let mut c = want.clone();
+        let (ta, tb) = (Transpose::No, Transpose::Yes);
+        let before = band_scratch_floats();
+        for _ in 0..10 {
+            gemm(ta, tb, m, n, k, 1.0, &a, &b, 0.5, &mut c);
+            gemm_serial(ta, tb, m, n, k, 1.0, &a, &b, 0.5, &mut want);
+            assert_eq!(bits(&c), bits(&want));
+        }
+        assert_eq!(
+            band_scratch_floats(),
+            before,
+            "a compute-bound call fanned out"
+        );
     }
 
     #[test]
@@ -2243,54 +2132,53 @@ mod tests {
     #[test]
     fn pool_override_path_is_bit_identical_to_serial() {
         // A partition-group GEMM (dispatch under `par::with_pool`) must
-        // produce exactly the serial result: with a multi-thread group
-        // pool via the banded parallel kernel, and with a single-thread
-        // group via serial fall-through (which must not wake the global
-        // pool — asserted indirectly by the zero-worker pool staying
-        // unspawned). Shape chosen above PAR_FLOPS so dispatch actually
-        // consults the override.
-        let (m, n, k) = (192, 192, 192);
-        assert!(gemm_flops(m, n, k) >= PAR_FLOPS);
-        let a = rand_vec(m * k, 70);
-        let b = rand_vec(k * n, 71);
-        let mut reference = vec![0.25; m * n];
-        gemm_serial(
-            Transpose::No,
-            Transpose::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            &b,
-            0.5,
-            &mut reference,
-        );
-        for workers in [0usize, 3] {
-            let group = std::sync::Arc::new(par::WorkerPool::new(workers));
-            let mut c = vec![0.25; m * n];
-            par::with_pool(&group, || {
-                gemm(
-                    Transpose::No,
-                    Transpose::No,
-                    m,
-                    n,
-                    k,
-                    1.0,
-                    &a,
-                    &b,
-                    0.5,
-                    &mut c,
-                );
-            });
-            for i in 0..m * n {
-                assert_eq!(
-                    reference[i].to_bits(),
-                    c[i].to_bits(),
-                    "workers={workers} i={i}"
-                );
+        // produce exactly the serial result: a memory-bound call split
+        // into as many bands as the group has threads, a compute-bound
+        // one serially, and either serially in a one-thread group — which
+        // splits off no band and leaves the zero-worker pool unspawned.
+        // Shapes chosen above PAR_FLOPS so dispatch actually consults
+        // the override.
+        for (m, n, k) in [(4, 2048, 1024), (192, 192, 192)] {
+            assert!(gemm_flops(m, n, k) >= PAR_FLOPS);
+            let a = rand_vec(m * k, 70);
+            let b = rand_vec(k * n, 71);
+            let mut reference = vec![0.25; m * n];
+            gemm_serial(
+                Transpose::No,
+                Transpose::No,
+                m,
+                n,
+                k,
+                1.0,
+                &a,
+                &b,
+                0.5,
+                &mut reference,
+            );
+            for workers in [0usize, 3] {
+                let group = std::sync::Arc::new(par::WorkerPool::new(workers));
+                let mut c = vec![0.25; m * n];
+                let before = band_scratch_floats();
+                par::with_pool(&group, || {
+                    gemm(
+                        Transpose::No,
+                        Transpose::No,
+                        m,
+                        n,
+                        k,
+                        1.0,
+                        &a,
+                        &b,
+                        0.5,
+                        &mut c,
+                    );
+                });
+                assert_eq!(bits(&c), bits(&reference), "{m}x{n}x{k} workers={workers}");
+                if workers == 0 {
+                    assert_eq!(band_scratch_floats(), before, "{m}x{n}x{k} fanned out");
+                }
+                assert_eq!(group.threads_spawned(), workers);
             }
-            assert_eq!(group.threads_spawned(), workers);
         }
     }
 

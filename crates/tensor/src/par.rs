@@ -7,41 +7,41 @@
 //! * [`WorkerPool`] — a **persistent** pool of parked worker threads,
 //!   lazily spawned once per process ([`pool()`]). Jobs are owned
 //!   (`'static`) closures; dispatch to a parked worker costs a condvar
-//!   wake (~µs), not a thread start. The compute-bound GEMMs (square
-//!   shapes, LeNet's batch-32 dense layers) and the conv fan-out run
-//!   here, handing workers `Arc`-shared operand copies and receiving
-//!   owned output bands back.
-//! * `std::thread::scope` fan-outs over *borrowed* memory: the skinny
-//!   GEMMs' band split (`gemm::gemm_blocked_parallel`) and
+//!   wake (~µs), not a thread start. The conv fan-out runs here, handing
+//!   workers `Arc`-shared operand copies and receiving owned output
+//!   bands back.
+//! * `std::thread::scope` fan-outs over *borrowed* memory: the
+//!   memory-bound GEMMs' band split (`gemm::gemm_blocked_parallel`) and
 //!   [`par_chunks_mut`] / [`par_zip_mut`] / [`par_zip2_mut`] for the
 //!   BLAS-1 elastic updates. These start their helper threads per call
 //!   and are gated behind thresholds where that cost is noise.
 //! * [`par_rows`] — the original row-band fork-join, kept as a
 //!   compatibility shim for the retained `gemm_naive` baseline.
 //!
-//! ## Owned jobs or borrowed bands
+//! ## Why GEMM borrows instead of using the pool
 //!
 //! A pool that runs borrowed closures on persistent threads requires
 //! erasing the closure lifetime — that is `unsafe` (it is how Rayon and
 //! crossbeam implement scopes), and this workspace forbids `unsafe`. So
 //! a persistent worker can only see copies: O(m·k + k·n + m·n) floats
 //! moved per GEMM. Against an O(m·n·k) kernel that is cheap only when
-//! every dimension is large. It is not for a skinny training step: the
-//! wide MLP's batch-4 weight gradient 2048×2048×4 (β = 1) took
+//! every dimension is large, and on the measured calls it never paid:
+//! the wide MLP's batch-4 weight gradient 2048×2048×4 (β = 1) took
 //! 5.2–5.3 ms on the owned pool against 2.0–2.5 ms serially (its C bands
-//! are the size of the weight, copied in and out), and LeNet's
-//! 500×800×32 weight gradient 0.62–0.70 ms against 0.29–0.44 ms. Those
-//! calls borrow instead: a scoped helper per extra band reads the
-//! caller's operands in place (1.4 ms for the 2048×2048×4 gradient).
+//! are the size of the weight, copied in and out), LeNet's 500×800×32
+//! weight gradient 0.6–0.7 ms against 0.3–0.4 ms, and the batch-32
+//! 32×4096×25088 `vgg_fc6` layer 487 ms against 261 ms (2-core AVX-512
+//! host). So the GEMM fans out only over borrowed bands: a scoped helper
+//! per extra band reads the caller's operands in place (1.4 ms for the
+//! 2048×2048×4 gradient).
 //!
-//! A scoped helper is not free either: ~37–40 µs to start and join on a
-//! 2-core AVX-512 host, and each one attaches a glibc malloc arena
-//! (std's thread start-up allocates in the new thread). With a helper on
-//! every parallel GEMM, the LeNet training benchmark's peak RSS rose
-//! 17% as freed memory fragmented across the extra arenas. So the split
-//! is by arithmetic intensity (`gemm::copy_bound`, DESIGN.md §8.2):
-//! calls under 4 flops per copied byte borrow, the rest stay on the
-//! persistent pool.
+//! A scoped helper is not free either: ~37–40 µs to start and join on
+//! that host, and each one attaches a glibc malloc arena (std's thread
+//! start-up allocates in the new thread). With a helper on every
+//! parallel GEMM, the LeNet training benchmark's peak RSS rose 17% as
+//! freed memory fragmented across the extra arenas. So only memory-bound
+//! calls fan out (`gemm::memory_bound`, DESIGN.md §8.2) and the
+//! compute-bound ones run serially.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -286,9 +286,8 @@ pub fn with_pool<R>(pool: &Arc<WorkerPool>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The pool override installed by [`with_pool`] on this thread, if any.
-/// Kernels that submit owned jobs (GEMM) clone the handle; `None` means
-/// "use the process-global [`pool()`]".
+/// The pool override installed by [`with_pool`] on this thread, if any;
+/// `None` means "use the process-global [`pool()`]".
 pub fn pool_override() -> Option<Arc<WorkerPool>> {
     CURRENT_POOL.with(|c| c.borrow().clone())
 }
